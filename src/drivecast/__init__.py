@@ -55,7 +55,6 @@ from .models import (
     QuantileKnn,
     QuantileRegressor,
     make_model,
-    model_from_dict,
     z_for_confidence,
 )
 from .selection import (
@@ -122,7 +121,6 @@ __all__ = [
     "hopkins_statistic",
     "irregular_profile",
     "make_model",
-    "model_from_dict",
     "part_of_day",
     "pearson_screen",
     "plant_drift",

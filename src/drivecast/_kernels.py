@@ -1,18 +1,13 @@
-"""Hot numeric kernels, with numba-compiled and pure-numpy twins.
-
-The numba path is selected when numba imports cleanly and the environment
-variable ``DRIVECAST_NUMBA`` is unset or truthy; set ``DRIVECAST_NUMBA=0``
-to force the numpy fallbacks.  Both paths implement the same arithmetic;
-``benchmarks/bench_kernels.py`` compares their throughput.
+"""Hot numeric kernels in plain numpy.
 
 Kernels here are the per-observation inner loops that dominate long runs:
 the sliding-window KNN distance scan, the per-leaf split-gain scan of the
 incremental trees, and the adaptive-window cut scan of the drift detector.
+Callers look each kernel up as ``_kernels.<name>`` at call time, so a
+profiler that wraps the module attribute sees every call.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -21,12 +16,12 @@ import numpy as np
 _ADWIN_MIN_SUBWINDOW = 5.0
 
 
-def _sq_distances_np(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+def sq_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     diff = points - x
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _split_gains_np(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
+def split_gains(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
     """Best normalized variance reduction per feature over bin boundaries.
 
     counts/sums/sumsqs hold per-(feature, bin) target statistics.  Returns
@@ -74,8 +69,8 @@ def _split_gains_np(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
     return best_gain, best_bin
 
 
-def _adwin_cut_np(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray,
-                  delta: float) -> int:
+def adwin_cut(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray,
+              delta: float) -> int:
     """First bucket index (oldest side) where the two sub-windows differ.
 
     Buckets are ordered oldest to newest.  Returns -1 when no cut point
@@ -106,115 +101,3 @@ def _adwin_cut_np(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray,
         return -1
     return int(np.argmax(hit))
 
-
-_env = os.environ.get("DRIVECAST_NUMBA", "").strip().lower()
-NUMBA_REQUESTED = _env not in {"0", "false", "no", "off"}
-NUMBA_ACTIVE = False
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-    else:
-        @njit(cache=True)
-        def _sq_distances_nb(points, x):  # pragma: no cover - compiled
-            n, d = points.shape
-            out = np.empty(n)
-            for i in range(n):
-                acc = 0.0
-                for j in range(d):
-                    diff = points[i, j] - x[j]
-                    acc += diff * diff
-                out[i] = acc
-            return out
-
-        @njit(cache=True)
-        def _split_gains_nb(counts, sums, sumsqs):  # pragma: no cover
-            n_feat, n_bins = counts.shape
-            best_gain = np.zeros(n_feat)
-            best_bin = np.full(n_feat, -1, np.int64)
-            for f in range(n_feat):
-                n = 0.0
-                s = 0.0
-                q = 0.0
-                for b in range(n_bins):
-                    n += counts[f, b]
-                    s += sums[f, b]
-                    q += sumsqs[f, b]
-                if n < 2.0:
-                    continue
-                mu = s / n
-                var = q / n - mu * mu
-                if var <= 1e-12:
-                    continue
-                n0 = 0.0
-                s0 = 0.0
-                q0 = 0.0
-                for b in range(n_bins - 1):
-                    n0 += counts[f, b]
-                    s0 += sums[f, b]
-                    q0 += sumsqs[f, b]
-                    n1 = n - n0
-                    if n0 < 1.0 or n1 < 1.0:
-                        continue
-                    m0 = s0 / n0
-                    m1 = (s - s0) / n1
-                    v0 = q0 / n0 - m0 * m0
-                    v1 = (q - q0) / n1 - m1 * m1
-                    if v0 < 0.0:
-                        v0 = 0.0
-                    if v1 < 0.0:
-                        v1 = 0.0
-                    red = (var - (n0 * v0 + n1 * v1) / n) / var
-                    if red > best_gain[f]:
-                        best_gain[f] = red
-                        best_bin[f] = b
-            return best_gain, best_bin
-
-        @njit(cache=True)
-        def _adwin_cut_nb(counts, sums, sumsqs, delta):  # pragma: no cover
-            rows = counts.shape[0]
-            if rows < 2:
-                return -1
-            n = 0.0
-            s = 0.0
-            q = 0.0
-            for r in range(rows):
-                n += counts[r]
-                s += sums[r]
-                q += sumsqs[r]
-            if n < 2.0:
-                return -1
-            mean = s / n
-            var = q / n - mean * mean
-            if var < 0.0:
-                var = 0.0
-            dd = np.log(2.0 * np.log(n) / delta)
-            n0 = 0.0
-            s0 = 0.0
-            for r in range(rows - 1):
-                n0 += counts[r]
-                s0 += sums[r]
-                n1 = n - n0
-                if n0 < _ADWIN_MIN_SUBWINDOW or n1 < _ADWIN_MIN_SUBWINDOW:
-                    continue
-                minv = 1.0 / n0 + 1.0 / n1
-                eps = np.sqrt(2.0 * minv * var * dd) + (2.0 / 3.0) * dd * minv
-                diff = s0 / n0 - (s - s0) / n1
-                if diff < 0.0:
-                    diff = -diff
-                if diff > eps:
-                    return r
-            return -1
-
-        NUMBA_ACTIVE = True
-
-if NUMBA_ACTIVE:
-    sq_distances = _sq_distances_nb
-    split_gains = _split_gains_nb
-    adwin_cut = _adwin_cut_nb
-else:
-    sq_distances = _sq_distances_np
-    split_gains = _split_gains_np
-    adwin_cut = _adwin_cut_np

@@ -14,7 +14,7 @@ import json
 
 from .evaluation import TARGETS
 from .exceptions import ConfigError
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, make_model
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -133,9 +133,17 @@ def validate_config(cfg: dict) -> dict:
         if not isinstance(grid, dict):
             raise ConfigError(f"tune.grids.{kind}", "expected an object")
         for param, values in grid.items():
+            field = f"tune.grids.{kind}.{param}"
             if not isinstance(values, list) or not values:
-                raise ConfigError(f"tune.grids.{kind}.{param}",
-                                  "expected a non-empty list of values")
+                raise ConfigError(field, "expected a non-empty list of values")
+            for value in values:
+                # the constructor is the one authority on names and
+                # ranges; seed and confidence are set per run, not tuned
+                try:
+                    make_model(kind, 1, seed=0, confidence=0.90,
+                               **{param: value})
+                except (TypeError, ValueError) as e:
+                    raise ConfigError(field, str(e)) from None
 
     models = _need(cfg, "evaluate.models", list)
     for m in models:

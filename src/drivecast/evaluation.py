@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 from dataclasses import dataclass
 from datetime import date
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data_model import DailyExample
 from .exceptions import DataError, InsufficientHistoryError
-from .features import FeaturePipeline, FeatureSchema
+from .features import FeaturePipeline, FeatureSchema, RunningStats
 from .models import MODEL_KINDS, OnlineModel, make_model
 
 TARGETS = ("departure", "distance")
@@ -53,28 +52,6 @@ class DayRecord:
         return self.lower <= self.y <= self.upper
 
 
-class _Fallback:
-    """Running mean/std of the target; stands in when a model abstains."""
-
-    def __init__(self, z: float):
-        self.z = z
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, y: float) -> None:
-        self.count += 1
-        delta = y - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (y - self.mean)
-
-    def interval(self) -> tuple[float, float, float, float]:
-        std = (math.sqrt(max(self.m2 / (self.count - 1), 0.0))
-               if self.count >= 2 else 0.0)
-        return (self.mean, self.mean - self.z * std,
-                self.mean + self.z * std, std)
-
-
 def target_of(example: DailyExample, target: str) -> float:
     if target == "departure":
         return example.target_departure
@@ -88,7 +65,7 @@ def progressive_validate(model: OnlineModel, pipeline: FeaturePipeline,
                          warmup: int = DEFAULT_WARMUP) -> list[DayRecord]:
     """Score one vehicle's stream day by day, learning after each score."""
     records: list[DayRecord] = []
-    fallback = _Fallback(model.z)
+    fallback = RunningStats()
     prev_day = None
     for i, ex in enumerate(examples):
         if prev_day is not None and ex.day <= prev_day:
@@ -103,7 +80,8 @@ def progressive_validate(model: OnlineModel, pipeline: FeaturePipeline,
             point, lower, upper, sigma = pi.point, pi.lower, pi.upper, pi.sigma
             abstained = False
         except InsufficientHistoryError:
-            point, lower, upper, sigma = fallback.interval()
+            point, sigma = fallback.mean, fallback.std
+            lower, upper = point - model.z * sigma, point + model.z * sigma
             abstained = True
         records.append(DayRecord(
             vehicle_id=ex.vehicle_id, day=ex.day, y=y, point=point,

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import DataError
+
 SCHEMA_FORMAT_VERSION = 1
 
 # Ordered bins mapping hour-of-day to a coarse daypart category.
@@ -140,7 +142,7 @@ class FeatureSchema:
                 if v is None:
                     continue
                 if v not in s.categories:
-                    raise ValueError(
+                    raise DataError(
                         f"unknown category {v!r} for descriptor {s.name}")
                 x[sl.start + s.categories.index(v)] = 1.0
                 continue
@@ -214,33 +216,26 @@ def default_schema() -> FeatureSchema:
 
 
 class RunningStats:
-    """Welford running mean/std plus a short sliding-window mean."""
+    """Welford running mean and sample standard deviation of a scalar."""
 
-    def __init__(self, window: int = 7):
+    __slots__ = ("count", "mean", "m2")
+
+    def __init__(self):
         self.count = 0
         self.mean = 0.0
-        self._m2 = 0.0
-        self._window: deque[float] = deque(maxlen=window)
+        self.m2 = 0.0
 
     def update(self, v: float) -> None:
-        v = float(v)
         self.count += 1
         delta = v - self.mean
         self.mean += delta / self.count
-        self._m2 += delta * (v - self.mean)
-        self._window.append(v)
+        self.m2 += delta * (v - self.mean)
 
     @property
     def std(self) -> float:
         if self.count < 2:
             return 0.0
-        return math.sqrt(max(self._m2 / (self.count - 1), 0.0))
-
-    @property
-    def window_mean(self) -> float:
-        if not self._window:
-            return float("nan")
-        return sum(self._window) / len(self._window)
+        return math.sqrt(max(self.m2 / (self.count - 1), 0.0))
 
 
 class OnlineStandardizer:
@@ -304,21 +299,38 @@ class FeaturePipeline:
     window: int = 7
     _std: OnlineStandardizer = field(init=False)
     _target: RunningStats = field(init=False)
+    _recent: deque = field(init=False)
 
     def __post_init__(self):
         self._std = OnlineStandardizer(self.schema.dim,
                                        self.schema.passthrough_mask())
-        self._target = RunningStats(self.window)
+        self._target = RunningStats()
+        self._recent = deque(maxlen=self.window)
 
-    def transform(self, raw: dict) -> np.ndarray:
+    def with_target_averages(self, raw: dict) -> dict:
+        """Copy of ``raw`` with the mean of every past target and of the
+        last ``window`` targets filled in; both are None before the first
+        target is known."""
         raw = dict(raw)
         if self._target.count > 0:
             raw["target_hist_avg"] = self._target.mean
-            raw["target_run_avg"] = self._target.window_mean
+            raw["target_run_avg"] = sum(self._recent) / len(self._recent)
         else:
             raw["target_hist_avg"] = None
             raw["target_run_avg"] = None
-        return self._std.transform_update(self.schema.encode(raw))
+        return raw
+
+    def transform(self, raw: dict) -> np.ndarray:
+        return self._std.transform_update(
+            self.schema.encode(self.with_target_averages(raw)))
 
     def update_target(self, y: float) -> None:
+        self.remember_target(y)
+
+    def remember_target(self, y: float) -> None:
+        """What ``update_target`` does, for batch encoders outside the
+        predict-then-learn loop: ``update_target`` then marks the end of
+        exactly one prequential step, which step timers count on."""
+        y = float(y)
         self._target.update(y)
+        self._recent.append(y)

@@ -200,10 +200,6 @@ class HoeffdingTree:
         return sum(1 for n in self._walk() if isinstance(n, _Leaf))
 
     @property
-    def n_nodes(self) -> int:
-        return sum(1 for _ in self._walk())
-
-    @property
     def depth(self) -> int:
         best = 0
         stack = [(self.root, 0)]

@@ -33,16 +33,14 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import DivergenceError, InsufficientHistoryError
+from .features import RunningStats
 from .forest import AdaptiveForest
-from .streaming import KllSketch
 
 MODEL_KINDS = ("mean", "qr", "qknn", "qarf", "mcnn")
 
 # Two-sided 90% Gaussian quantile, pinned so intervals are reproducible
 # to the digit across platforms.
 Z90 = 1.6449
-
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 def _norm_ppf(p: float) -> float:
@@ -95,39 +93,11 @@ class PredictionInterval:
         return self.lower <= y <= self.upper
 
 
-class _Welford:
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def update(self, v: float) -> None:
-        self.count += 1
-        delta = v - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (v - self.mean)
-
-    @property
-    def std(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(max(self.m2 / (self.count - 1), 0.0))
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "mean": self.mean, "m2": self.m2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Welford":
-        out = cls()
-        out.count, out.mean, out.m2 = d["count"], d["mean"], d["m2"]
-        return out
-
-
-class _TargetScaler(_Welford):
+class _TargetScaler(RunningStats):
     """Running standardization of the target.  ``transform`` always uses
     the statistics accumulated before the current observation."""
+
+    __slots__ = ()
 
     @property
     def scale(self) -> float:
@@ -177,19 +147,6 @@ class OnlineModel:
     def learn_one(self, x, y: float) -> None:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-    def _base_dict(self) -> dict:
-        return {
-            "version": CHECKPOINT_FORMAT_VERSION,
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "seed": self.seed,
-            "confidence": self.confidence,
-            "n_seen": self.n_seen,
-        }
-
 
 class MeanBaseline(OnlineModel):
     """Running mean with a Gaussian interval.  Ignores features."""
@@ -199,7 +156,7 @@ class MeanBaseline(OnlineModel):
     def __init__(self, n_features: int, seed: int = 0,
                  confidence: float = 0.90):
         super().__init__(n_features, seed, confidence)
-        self._stats = _Welford()
+        self._stats = RunningStats()
 
     def predict_one(self, x) -> float:
         self._check(x)
@@ -217,16 +174,6 @@ class MeanBaseline(OnlineModel):
         self._check(x)
         self._stats.update(float(y))
         self.n_seen += 1
-
-    def to_dict(self) -> dict:
-        return {**self._base_dict(), "stats": self._stats.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeanBaseline":
-        out = cls(d["n_features"], d["seed"], d["confidence"])
-        out._stats = _Welford.from_dict(d["stats"])
-        out.n_seen = d["n_seen"]
-        return out
 
 
 class QuantileRegressor(OnlineModel):
@@ -302,23 +249,6 @@ class QuantileRegressor(OnlineModel):
         self._scaler.update(float(y))
         self.n_seen += 1
 
-    def to_dict(self) -> dict:
-        return {
-            **self._base_dict(),
-            "lr": self.lr, "l2": self.l2, "lr_decay": self.lr_decay,
-            "thetas": self.thetas.tolist(),
-            "scaler": self._scaler.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantileRegressor":
-        out = cls(d["n_features"], d["seed"], d["confidence"],
-                  lr=d["lr"], l2=d["l2"], lr_decay=d["lr_decay"])
-        out.thetas = np.asarray(d["thetas"])
-        out._scaler = _TargetScaler.from_dict(d["scaler"])
-        out.n_seen = d["n_seen"]
-        return out
-
 
 class QuantileKnn(OnlineModel):
     """Sliding-window nearest neighbors with order-statistic intervals.
@@ -347,7 +277,7 @@ class QuantileKnn(OnlineModel):
         self._stamps = np.zeros(self.window, dtype=np.int64)
         self.size = 0
         self._next = 0
-        self._residuals = _Welford()
+        self._residuals = RunningStats()
 
     def _neighbors(self, x: np.ndarray) -> np.ndarray:
         dists = _kernels.sq_distances(self._xs[: self.size], x)
@@ -397,32 +327,6 @@ class QuantileKnn(OnlineModel):
         self.size = min(self.size + 1, self.window)
         self.n_seen += 1
 
-    def to_dict(self) -> dict:
-        return {
-            **self._base_dict(),
-            "k": self.k, "window": self.window,
-            "min_neighbors": self.min_neighbors,
-            "xs": self._xs[: self.size].tolist(),
-            "ys": self._ys[: self.size].tolist(),
-            "stamps": self._stamps[: self.size].tolist(),
-            "next": self._next,
-            "residuals": self._residuals.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantileKnn":
-        out = cls(d["n_features"], d["seed"], d["confidence"], k=d["k"],
-                  window=d["window"], min_neighbors=d["min_neighbors"])
-        size = len(d["ys"])
-        out._xs[:size] = d["xs"]
-        out._ys[:size] = d["ys"]
-        out._stamps[:size] = d["stamps"]
-        out.size = size
-        out._next = d["next"]
-        out._residuals = _Welford.from_dict(d["residuals"])
-        out.n_seen = d["n_seen"]
-        return out
-
 
 class QuantileForest(OnlineModel):
     """Drift-adaptive forest; intervals from merged leaf sketches."""
@@ -463,26 +367,6 @@ class QuantileForest(OnlineModel):
     def learn_one(self, x, y: float) -> None:
         self.forest.learn_one(self._check(x), float(y))
         self.n_seen += 1
-
-    # Forest state is large and regrows quickly; checkpoints intentionally
-    # capture configuration only, not the tree structures.
-    def to_dict(self) -> dict:
-        f = self.forest
-        return {
-            **self._base_dict(),
-            "n_trees": f.n_trees, "lambda_bag": f.lambda_bag,
-            "warn_delta": f.warn_delta, "drift_delta": f.drift_delta,
-            "disable_drift": f.disable_drift,
-            **{k: v for k, v in f._tree_kw.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuantileForest":
-        keys = ("n_trees", "lambda_bag", "grace_period", "delta_split",
-                "tie_tau", "n_bins", "max_depth", "subspace", "sketch_k",
-                "warn_delta", "drift_delta", "disable_drift")
-        return cls(d["n_features"], d["seed"], d["confidence"],
-                   **{k: d[k] for k in keys})
 
 
 class McDropoutNet(OnlineModel):
@@ -636,34 +520,6 @@ class McDropoutNet(OnlineModel):
         self._scaler.update(float(y))
         self.n_seen += 1
 
-    def to_dict(self) -> dict:
-        return {
-            **self._base_dict(),
-            "hidden": list(self.hidden), "dropout": self.dropout,
-            "lr": self.lr, "n_passes": self.n_passes,
-            "residual_window": self.residual_window,
-            "max_grad_norm": self.max_grad_norm,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "scaler": self._scaler.to_dict(),
-            "sq_residuals": list(self._sq_residuals),
-            "train_rng": self._train_rng.bit_generator.state,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McDropoutNet":
-        out = cls(d["n_features"], d["seed"], d["confidence"],
-                  hidden=tuple(d["hidden"]), dropout=d["dropout"], lr=d["lr"],
-                  n_passes=d["n_passes"], residual_window=d["residual_window"],
-                  max_grad_norm=d["max_grad_norm"])
-        out.weights = [np.asarray(w) for w in d["weights"]]
-        out.biases = [np.asarray(b) for b in d["biases"]]
-        out._scaler = _TargetScaler.from_dict(d["scaler"])
-        out._sq_residuals = list(d["sq_residuals"])
-        out._train_rng.bit_generator.state = d["train_rng"]
-        out.n_seen = d["n_seen"]
-        return out
-
 
 _REGISTRY = {
     "mean": MeanBaseline,
@@ -679,12 +535,3 @@ def make_model(kind: str, n_features: int, seed: int = 0,
     if kind not in _REGISTRY:
         raise ValueError(f"unknown model kind {kind!r}; know {MODEL_KINDS}")
     return _REGISTRY[kind](n_features, seed, confidence, **hyper)
-
-
-def model_from_dict(d: dict) -> OnlineModel:
-    if d.get("version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: {d.get('version')}")
-    kind = d.get("kind")
-    if kind not in _REGISTRY:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return _REGISTRY[kind].from_dict(d)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .data_model import DailyExample
 from .evaluation import evaluate_fleet, target_of
-from .features import FeatureSchema, RunningStats
+from .exceptions import ConfigError, DivergenceError
+from .features import FeaturePipeline, FeatureSchema
 
 VIF_THRESHOLD = 10.0
 PEARSON_THRESHOLD = 0.02
@@ -126,21 +127,14 @@ def encode_batch(examples: list[DailyExample], schema: FeatureSchema,
     """Causally encoded (X, y) for one vehicle, unstandardized, NaN where
     a value is missing.  The target-average columns see only past days,
     exactly as the online pipeline would provide them."""
-    stats = RunningStats(window)
+    pipeline = FeaturePipeline(schema, window)
     rows = []
     ys = []
     for ex in examples:
-        raw = dict(ex.features)
-        if stats.count > 0:
-            raw["target_hist_avg"] = stats.mean
-            raw["target_run_avg"] = stats.window_mean
-        else:
-            raw["target_hist_avg"] = None
-            raw["target_run_avg"] = None
-        rows.append(schema.encode(raw))
+        rows.append(schema.encode(pipeline.with_target_averages(ex.features)))
         y = target_of(ex, target)
         ys.append(y)
-        stats.update(y)
+        pipeline.remember_target(y)
     return np.vstack(rows), np.asarray(ys)
 
 
@@ -358,7 +352,9 @@ def grid_search(examples_by_vehicle: dict[str, list[DailyExample]],
 
     Combinations are scored by pooled progressive-validation MAE; ties
     keep the earliest combination in product order, so results do not
-    depend on dict hashing."""
+    depend on dict hashing.  A combination whose learner diverges, or
+    whose MAE is not finite, is recorded with ``"mae": None`` and
+    skipped; ConfigError is raised when every combination is."""
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must name at least one non-empty axis")
     keys = list(grid)
@@ -366,11 +362,19 @@ def grid_search(examples_by_vehicle: dict[str, list[DailyExample]],
     best = None
     for combo in itertools.product(*(grid[k] for k in keys)):
         hyper = dict(zip(keys, combo))
-        res, _ = evaluate_fleet(examples_by_vehicle, kind, schema, target,
-                                run_seed=run_seed, warmup=warmup, hyper=hyper)
-        mae = res["aggregate"]["mae"]
-        results.append({"params": hyper, "mae": mae})
-        if best is None or mae < best["mae"] - 1e-12:
+        try:
+            res, _ = evaluate_fleet(examples_by_vehicle, kind, schema, target,
+                                    run_seed=run_seed, warmup=warmup,
+                                    hyper=hyper)
+            mae = res["aggregate"]["mae"]
+        except DivergenceError:
+            mae = math.nan
+        finite = math.isfinite(mae)
+        results.append({"params": hyper, "mae": mae if finite else None})
+        if finite and (best is None or mae < best["mae"] - 1e-12):
             best = {"params": hyper, "mae": mae}
+    if best is None:
+        raise ConfigError(f"tune.grids.{kind}",
+                          f"every setting diverged on {target}")
     return {"best": best["params"], "best_mae": best["mae"],
             "results": results}

@@ -18,9 +18,6 @@ import numpy as np
 from . import _kernels
 from .exceptions import InsufficientHistoryError
 
-SKETCH_FORMAT_VERSION = 1
-
-
 class KllSketch:
     """Mergeable streaming quantile sketch.
 
@@ -135,13 +132,6 @@ class KllSketch:
         idx = min(idx, len(v) - 1)
         return float(v[idx])
 
-    def rank(self, value: float) -> float:
-        """Approximate number of inserted items <= value."""
-        if self.n == 0:
-            return 0.0
-        v, w = self._weighted_items()
-        return float(w[v <= value].sum())
-
     def moments(self) -> tuple[float, float]:
         """Gaussian fit (mean, std) from the weighted retained items."""
         if self.n < 2:
@@ -151,29 +141,6 @@ class KllSketch:
         mean = float((w * v).sum() / total)
         var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
         return mean, math.sqrt(max(var, 0.0))
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SKETCH_FORMAT_VERSION,
-            "k": self.k,
-            "c": self.c,
-            "seed": self.seed,
-            "n": self.n,
-            "levels": [list(lvl) for lvl in self._levels],
-            "rng_state": self._rng.bit_generator.state,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KllSketch":
-        if data.get("version") != SKETCH_FORMAT_VERSION:
-            raise ValueError(f"unsupported sketch format: {data.get('version')}")
-        out = cls(data["k"], data["c"], seed=data["seed"])
-        out.n = data["n"]
-        out._levels = [list(lvl) for lvl in data["levels"]]
-        out._rng.bit_generator.state = data["rng_state"]
-        return out
 
 
 class AdwinWindow:
@@ -291,9 +258,10 @@ class AdwinWindow:
             self.n_drifts += 1
         return drift
 
-    # -- serialization --------------------------------------------------
+    # -- introspection --------------------------------------------------
 
     def to_dict(self) -> dict:
+        """Plain-data snapshot of the buckets, oldest first."""
         return {
             "delta": self.delta,
             "max_buckets": self.max_buckets,
@@ -304,19 +272,3 @@ class AdwinWindow:
             "n_drifts": self.n_drifts,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AdwinWindow":
-        out = cls(data["delta"], data["max_buckets"])
-        rows = len(data["counts"])
-        while out._cap < rows:
-            out._grow()
-        out._counts[:rows] = data["counts"]
-        out._sums[:rows] = data["sums"]
-        out._sumsqs[:rows] = data["sumsqs"]
-        out._rows = rows
-        out._level_counts = list(data["level_counts"])
-        out.total = float(np.sum(out._counts[:rows]))
-        out.total_sum = float(np.sum(out._sums[:rows]))
-        out.total_sumsq = float(np.sum(out._sumsqs[:rows]))
-        out.n_drifts = data["n_drifts"]
-        return out

@@ -2,9 +2,15 @@
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import drivecast
 from drivecast.cli import main
 from drivecast.config import (
     DEFAULT_CONFIG,
@@ -13,6 +19,7 @@ from drivecast.config import (
     validate_config,
 )
 from drivecast.exceptions import ConfigError
+from drivecast.features import PART_OF_DAY_CATEGORIES
 
 
 class TestConfig:
@@ -229,3 +236,28 @@ class TestCliErrors:
             (tmp_path / "out" / "evaluate" / "results.json").read_text())
         assert list(results) == ["departure"]
         assert list(results["departure"]) == ["mean"]
+
+    @pytest.mark.parametrize("stage, grids, dawn, code", [
+        ("tune", {"qknn": {"kk": [3]}}, False, 2),  # misspelled parameter
+        ("select", {}, True, 4),  # one-hot category the schema lacks
+        ("tune", {"qr": {"lr": [1e300]}}, False, 2),  # every setting diverges
+    ], ids=["unknown-param", "unknown-category", "all-diverge"])
+    def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
+                                         grids, dawn, code):
+        shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
+        cfg = write_config(tmp_path, tune={"max_vehicles": 2, "grids": grids},
+                           evaluate={"models": ["mean", "qr"], "warmup": 10})
+        if dawn:
+            path = tmp_path / "out" / "preprocess" / "examples.csv"
+            text = path.read_text()
+            for category in PART_OF_DAY_CATEGORIES:
+                text = text.replace(f",{category},", ",dawn,")
+            path.write_text(text)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(drivecast.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "drivecast.cli", stage, "--config",
+             str(cfg)], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

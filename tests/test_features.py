@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivecast.exceptions import DataError
 from drivecast.features import (
     FeaturePipeline,
     FeatureSchema,
@@ -65,7 +66,7 @@ class TestEncoding:
         np.testing.assert_array_equal(schema.encode({"pod": "noon"}),
                                       [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(schema.encode({}), [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             schema.encode({"pod": "dawn"})
 
     def test_missing_numeric_becomes_nan(self):
@@ -123,20 +124,19 @@ class TestRunningStats:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=40)
-        rs = RunningStats(window=7)
+        rs = RunningStats()
         for v in values:
             rs.update(v)
         assert rs.count == 40
         assert rs.mean == pytest.approx(values.mean())
         assert rs.std == pytest.approx(values.std(ddof=1))
-        assert rs.window_mean == pytest.approx(values[-7:].mean())
 
     def test_short_history(self):
-        rs = RunningStats(window=7)
-        assert math.isnan(rs.window_mean)
-        rs.update(3.0)
+        rs = RunningStats()
         assert rs.std == 0.0
-        assert rs.window_mean == 3.0
+        rs.update(3.0)
+        assert rs.mean == 3.0
+        assert rs.std == 0.0
 
 
 class TestOnlineStandardizer:
@@ -205,11 +205,18 @@ class TestFeaturePipeline:
         # no history yet: average columns are missing, encoded as 0
         z = pipe.transform({"is_workday": 1.0})
         assert z[hist] == 0.0 and z[run] == 0.0
-        for y in (10.0, 20.0, 30.0, 40.0):
+        raw = pipe.with_target_averages({"is_workday": 1.0})
+        assert raw["target_hist_avg"] is None and raw["target_run_avg"] is None
+        pipe.update_target(10.0)
+        raw = pipe.with_target_averages({"is_workday": 1.0})
+        assert raw["target_hist_avg"] == raw["target_run_avg"] == 10.0
+        for y in (20.0, 30.0, 40.0):
             pipe.update_target(y)
 
-        assert pipe._target.mean == pytest.approx(25.0)
-        assert pipe._target.window_mean == pytest.approx(30.0)  # last 3
+        raw = pipe.with_target_averages({"is_workday": 1.0})
+        assert raw["is_workday"] == 1.0
+        assert raw["target_hist_avg"] == pytest.approx(25.0)
+        assert raw["target_run_avg"] == pytest.approx(30.0)  # last 3
 
     def test_standardized_averages_match_oracle(self):
         pipe, schema = self.make()

@@ -1,4 +1,4 @@
-"""Numeric kernels against brute-force oracles, plus numba/numpy parity."""
+"""Numeric kernels against brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -201,41 +201,3 @@ class TestAdwinCut:
         sumsqs = np.array([0.0, 20000.0])
         assert _kernels.adwin_cut(counts, sums, sumsqs, 0.002) == -1
 
-
-@pytest.mark.skipif(not _kernels.NUMBA_ACTIVE, reason="numba path not active")
-class TestNumbaParity:
-    """Compiled kernels must agree with the numpy fallbacks bit-for-bit
-    on well-conditioned inputs."""
-
-    def test_sq_distances(self):
-        rng = np.random.default_rng(6)
-        points = rng.normal(size=(64, 9))
-        x = rng.normal(size=9)
-        np.testing.assert_allclose(
-            _kernels._sq_distances_nb(points, x),
-            _kernels._sq_distances_np(points, x),
-            rtol=1e-12,
-        )
-
-    def test_split_gains(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            counts = rng.integers(0, 9, size=(5, 10)).astype(float)
-            centers = rng.normal(size=(5, 10)) * 2
-            sums = counts * centers
-            sumsqs = counts * (centers ** 2 + rng.random(size=(5, 10)))
-            g_nb, b_nb = _kernels._split_gains_nb(counts, sums, sumsqs)
-            g_np, b_np = _kernels._split_gains_np(counts, sums, sumsqs)
-            np.testing.assert_allclose(g_nb, g_np, rtol=1e-10, atol=1e-12)
-            np.testing.assert_array_equal(b_nb, b_np)
-
-    def test_adwin_cut(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            rows = int(rng.integers(2, 30))
-            counts = rng.integers(1, 9, size=rows).astype(float)
-            means = rng.normal(size=rows) * (3 if rng.random() < 0.5 else 0.2)
-            sums = counts * means
-            sumsqs = counts * (means ** 2 + 0.5)
-            assert (_kernels._adwin_cut_nb(counts, sums, sumsqs, 0.002)
-                    == _kernels._adwin_cut_np(counts, sums, sumsqs, 0.002))

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from drivecast.models import (
     QuantileRegressor,
     Z90,
     make_model,
-    model_from_dict,
     z_for_confidence,
 )
 
@@ -386,15 +386,17 @@ class TestFactoryAndCheckpoints:
         with pytest.raises(ValueError):
             make_model("torch", 3)
 
-    @pytest.mark.parametrize("kind", ["mean", "qr", "qknn", "mcnn"])
+    @pytest.mark.parametrize("kind", ["mean", "qr", "qknn", "qarf", "mcnn"])
     def test_roundtrip_then_identical_continuation(self, kind):
+        """A pickled model is the whole model: the restored copy learns
+        and predicts exactly like one that never stopped."""
         rng = np.random.default_rng(12)
         model = make_model(kind, 3, seed=7)
         xs = rng.normal(size=(60, 3))
         ys = xs @ np.array([2.0, -1.0, 0.3]) + rng.normal(0, 0.2, 60)
         for x, y in zip(xs[:40], ys[:40]):
             model.learn_one(x, float(y))
-        clone = model_from_dict(model.to_dict())
+        clone = pickle.loads(pickle.dumps(model))
         for x, y in zip(xs[40:], ys[40:]):
             model.learn_one(x, float(y))
             clone.learn_one(x, float(y))
@@ -402,21 +404,6 @@ class TestFactoryAndCheckpoints:
         a, b = model.predict_interval(probe), clone.predict_interval(probe)
         assert (a.point, a.lower, a.upper, a.sigma) == \
             (b.point, b.lower, b.upper, b.sigma)
-
-    def test_forest_checkpoint_keeps_configuration(self):
-        model = QuantileForest(4, seed=5, n_trees=7, max_depth=9,
-                               disable_drift=True)
-        clone = model_from_dict(model.to_dict())
-        assert isinstance(clone, QuantileForest)
-        assert clone.forest.n_trees == 7
-        assert clone.forest._tree_kw["max_depth"] == 9
-        assert clone.forest.disable_drift
-
-    def test_version_checked(self):
-        d = MeanBaseline(1).to_dict()
-        d["version"] = 99
-        with pytest.raises(ValueError):
-            model_from_dict(d)
 
 
 class TestIntervalCalibrationQuick:

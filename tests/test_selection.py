@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from drivecast.data_model import DailyExample
+from drivecast.exceptions import ConfigError
 from drivecast.features import FeatureSchema, FeatureSpec
 from drivecast.selection import (
     backward_sfs,
@@ -372,6 +373,17 @@ class TestGridSearch:
         r2 = grid_search(fleet, abc_schema(), "departure", "qknn",
                          {"k": [3, 9]}, **kw)
         assert r1 == r2
+
+    def test_diverging_setting_recorded_and_skipped(self):
+        fleet = eval_fleet(seed=1)
+        res = grid_search(fleet, abc_schema(), "departure", "qr",
+                          {"lr": [1e300, 0.1]}, run_seed=2, warmup=10)
+        assert res["results"][0] == {"params": {"lr": 1e300}, "mae": None}
+        assert res["best"] == {"lr": 0.1}
+        assert res["best_mae"] == res["results"][1]["mae"]
+        with pytest.raises(ConfigError):
+            grid_search(fleet, abc_schema(), "departure", "qr",
+                        {"lr": [1e300]}, run_seed=2, warmup=10)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,14 @@ def rank_error(sketch, data, q):
     return abs(true_rank / len(data) - q)
 
 
+def answers(sketch):
+    """Everything the sketch tells a caller: its count, retained size,
+    quantile at every percent, and fitted moments."""
+    return (sketch.n, sketch.retained_items(),
+            [sketch.quantile(q) for q in np.linspace(0.0, 1.0, 101)],
+            sketch.moments())
+
+
 class TestKllSketch:
     def test_exact_when_everything_fits(self):
         sk = KllSketch(k=64, seed=1)
@@ -80,7 +88,7 @@ class TestKllSketch:
         for v in data:
             a.insert(v)
             b.insert(v)
-        assert a.to_dict()["levels"] == b.to_dict()["levels"]
+        assert answers(a) == answers(b)
 
     def test_merge_accuracy(self):
         rng = np.random.default_rng(6)
@@ -109,13 +117,21 @@ class TestKllSketch:
             assert ab.quantile(q) == ba.quantile(q)
 
     def test_merge_leaves_inputs_untouched(self):
-        a, b = KllSketch(k=16, seed=1), KllSketch(k=16, seed=2)
-        for v in range(100):
-            a.insert(float(v))
-            b.insert(float(-v))
-        before = (a.to_dict(), b.to_dict())
+        def filled(seed, sign):
+            sk = KllSketch(k=16, seed=seed)
+            for v in range(100):
+                sk.insert(sign * float(v))
+            return sk
+
+        a, b = filled(1, 1.0), filled(2, -1.0)
         KllSketch.merge(a, b)
-        assert (a.to_dict(), b.to_dict()) == before
+        for sk, twin in ((a, filled(1, 1.0)), (b, filled(2, -1.0))):
+            assert answers(sk) == answers(twin)
+            # the coin flips too: later compactions still agree
+            for v in range(100, 400):
+                sk.insert(float(v))
+                twin.insert(float(v))
+            assert answers(sk) == answers(twin)
 
     def test_merge_mismatched_k_rejected(self):
         with pytest.raises(ValueError):
@@ -155,18 +171,6 @@ class TestKllSketch:
             KllSketch(k=4)
         with pytest.raises(ValueError):
             KllSketch(k=16, c=0.4)
-
-    def test_serialization_roundtrip_continues_identically(self):
-        rng = np.random.default_rng(11)
-        stream = rng.normal(size=3000)
-        sk = KllSketch(k=32, seed=5)
-        for v in stream[:1500]:
-            sk.insert(v)
-        restored = KllSketch.from_dict(sk.to_dict())
-        for v in stream[1500:]:
-            sk.insert(v)
-            restored.insert(v)
-        assert sk.to_dict() == restored.to_dict()
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
            st.floats(0.0, 1.0))
@@ -233,20 +237,6 @@ class TestAdwinWindow:
         for t in range(3000):
             w.update(t / 300.0 + rng.normal(0, 0.2))
         assert w.mean == pytest.approx(3000 / 300.0, abs=1.5)
-
-    def test_serialization_roundtrip(self):
-        rng = np.random.default_rng(5)
-        w = AdwinWindow(delta=0.01)
-        for v in rng.normal(size=700):
-            w.update(v)
-        restored = AdwinWindow.from_dict(w.to_dict())
-        assert restored.width == w.width
-        assert restored.mean == pytest.approx(w.mean, rel=1e-12)
-        follow = rng.normal(size=300)
-        for v in follow:
-            a, b = w.update(v), restored.update(v)
-            assert a == b
-        assert restored.to_dict() == w.to_dict()
 
     def test_delta_validated(self):
         with pytest.raises(ValueError):
