@@ -82,14 +82,15 @@ def adwin_cut(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray,
     n = counts.sum()
     if n < 2.0:
         return -1
-    mean = sums.sum() / n
+    total = sums.sum()
+    mean = total / n
     var = max(sumsqs.sum() / n - mean * mean, 0.0)
     dd = np.log(2.0 * np.log(n) / delta)
 
-    n0 = np.cumsum(counts[:-1])
-    s0 = np.cumsum(sums[:-1])
+    n0 = counts[:-1].cumsum()
+    s0 = sums[:-1].cumsum()
     n1 = n - n0
-    s1 = sums.sum() - s0
+    s1 = total - s0
     ok = (n0 >= _ADWIN_MIN_SUBWINDOW) & (n1 >= _ADWIN_MIN_SUBWINDOW)
     if not ok.any():
         return -1

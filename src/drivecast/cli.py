@@ -25,7 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import config_digest, load_config
+from .config import check_model_param, config_digest, load_config
 from .data_model import (
     build_daily_examples,
     preprocess_fleet,
@@ -35,7 +35,8 @@ from .data_model import (
     write_sessions_csv,
 )
 from .evaluation import compute_metrics, evaluate_fleet, write_records_csv
-from .exceptions import ConfigError, DataError, MissingArtifactError
+from .exceptions import (ConfigError, DataError, DivergenceError,
+                         MissingArtifactError)
 from .features import FeatureSchema, default_schema
 from .selection import (
     backward_sfs,
@@ -262,11 +263,21 @@ def stage_evaluate(cfg: dict, out_root: Path) -> None:
         results[target] = {}
         for kind in ev["models"]:
             hyper = tuned.get(target, {}).get(kind, {}).get("params", {})
-            res, records = evaluate_fleet(
-                cohort, kind, schema, target, run_seed=cfg["seed"],
-                warmup=ev["warmup"], within_tol=ev["within_tol"][target],
-                confidence=ev["confidence"], hyper=hyper,
-                curve_stride=ev["curve_stride"])
+            field = f"tuned.json {target}.{kind}"
+            if not isinstance(hyper, dict):
+                raise ConfigError(f"{field}.params", "expected an object")
+            for param, value in hyper.items():
+                check_model_param(f"{field}.{param}", kind, param, value)
+            try:
+                res, records = evaluate_fleet(
+                    cohort, kind, schema, target, run_seed=cfg["seed"],
+                    warmup=ev["warmup"], within_tol=ev["within_tol"][target],
+                    confidence=ev["confidence"], hyper=hyper,
+                    curve_stride=ev["curve_stride"])
+            except DivergenceError as e:
+                raise ConfigError(
+                    field, f"diverged on the evaluate cohort with params "
+                    f"{hyper}: {e}") from None
             res["hyper"] = hyper
             holdout_recs = [r for r in records
                             if r.vehicle_id in validation]

@@ -85,6 +85,18 @@ def _need(cfg: dict, field: str, kinds, low=None, high=None):
     return node
 
 
+def check_model_param(field: str, kind: str, param: str, value) -> None:
+    """Raise ConfigError on ``field`` unless the ``kind`` constructor
+    accepts ``param=value``.
+
+    The constructor is the one authority on names and ranges; seed and
+    confidence are set per run, so naming either is rejected too."""
+    try:
+        make_model(kind, 1, seed=0, confidence=0.90, **{param: value})
+    except (TypeError, ValueError) as e:
+        raise ConfigError(field, str(e)) from None
+
+
 def validate_config(cfg: dict) -> dict:
     """Type- and range-check every option; returns the config unchanged."""
     _need(cfg, "seed", int, low=0)
@@ -137,13 +149,7 @@ def validate_config(cfg: dict) -> dict:
             if not isinstance(values, list) or not values:
                 raise ConfigError(field, "expected a non-empty list of values")
             for value in values:
-                # the constructor is the one authority on names and
-                # ranges; seed and confidence are set per run, not tuned
-                try:
-                    make_model(kind, 1, seed=0, confidence=0.90,
-                               **{param: value})
-                except (TypeError, ValueError) as e:
-                    raise ConfigError(field, str(e)) from None
+                check_model_param(field, kind, param, value)
 
     models = _need(cfg, "evaluate.models", list)
     for m in models:

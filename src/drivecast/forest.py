@@ -23,13 +23,21 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
-from .streaming import AdwinWindow, KllSketch
+from .streaming import AdwinWindow, KllSketch, update_pair
 
 
 def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
     """Deviation bound for a mean of n observations in [0, value_range]."""
     return math.sqrt(value_range * value_range * math.log(1.0 / delta)
                      / (2.0 * n))
+
+
+def _as_features(x, n_features: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n_features,):
+        raise ValueError(
+            f"expected {n_features} features, got shape {x.shape}")
+    return x
 
 
 class _Leaf:
@@ -53,24 +61,31 @@ class _Leaf:
         return self.total / self.n if self.n > 0 else 0.0
 
     def bin_of(self, x: np.ndarray) -> np.ndarray:
+        """Bin of each feature of an x already folded into fmin/fmax.
+
+        Then fmin <= x <= fmax, so x - fmin is 0 where the span is 0 and
+        the position lies in [0, 1]: only the top edge needs clipping."""
         span = self.fmax - self.fmin
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = np.where(span > 0, (x - self.fmin) / np.where(span > 0, span, 1.0), 0.0)
+        raw = (x - self.fmin) / np.where(span > 0, span, 1.0)
         n_bins = self.counts.shape[1]
-        return np.clip((raw * n_bins).astype(np.int64), 0, n_bins - 1)
+        bins = (raw * n_bins).astype(np.int64)
+        np.minimum(bins, n_bins - 1, out=bins)
+        return bins
 
     def learn(self, x: np.ndarray, y: float, weight: float) -> None:
         np.minimum(self.fmin, x, out=self.fmin)
         np.maximum(self.fmax, x, out=self.fmax)
-        bins = self.bin_of(x)
-        rows = np.arange(len(x))
-        self.counts[rows, bins] += weight
-        self.sums[rows, bins] += weight * y
-        self.sumsqs[rows, bins] += weight * y * y
+        # flat index of each feature's (feature, bin) cell: 1-d fancy
+        # indexing into a view costs half of indexing by (row, bin) pairs
+        n_bins = self.counts.shape[1]
+        cells = self.bin_of(x)
+        cells += np.arange(0, self.counts.size, n_bins)
+        self.counts.reshape(-1)[cells] += weight
+        self.sums.reshape(-1)[cells] += weight * y
+        self.sumsqs.reshape(-1)[cells] += weight * y * y
         self.n += weight
         self.total += weight * y
-        for _ in range(int(round(weight))):
-            self.sketch.insert(y)
+        self.sketch.insert(y, int(round(weight)))
         self.since_attempt += weight
 
 
@@ -111,47 +126,49 @@ class HoeffdingTree:
         seed = int(self._rng.integers(0, 2 ** 31 - 1))
         return _Leaf(self.n_features, self.n_bins, self.sketch_k, seed, depth)
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise ValueError(
-                f"expected {self.n_features} features, got shape {x.shape}")
-        return x
+    def _check(self, x) -> np.ndarray:
+        return _as_features(x, self.n_features)
 
     def _descend(self, x: np.ndarray):
-        """Leaf for x plus the parent link needed to replace it."""
-        node, parent, side = self.root, None, ""
-        while isinstance(node, _Node):
+        """Leaf for a checked x, plus its parent and whether it is the
+        parent's left child: the link needed to replace it."""
+        node, parent, left = self.root, None, False
+        while type(node) is _Node:
             parent = node
-            side = "left" if x[node.feature] <= node.threshold else "right"
-            node = getattr(node, side)
-        return node, parent, side
+            left = x[node.feature] <= node.threshold
+            node = node.left if left else node.right
+        return node, parent, left
 
-    def predict_one(self, x) -> float:
-        x = self._check(x)
-        leaf, _, _ = self._descend(x)
+    def _value(self, leaf: _Leaf) -> float:
+        """Prediction read from the leaf an input was routed to."""
         if leaf.n > 0:
             return leaf.mean()
         if self.n_seen > 0:
             return self.total / self.n_seen
         return 0.0
 
+    def predict_one(self, x) -> float:
+        return self._value(self._descend(self._check(x))[0])
+
     def leaf_sketch(self, x) -> KllSketch:
-        leaf, _, _ = self._descend(self._check(x))
-        return leaf.sketch
+        return self._descend(self._check(x))[0].sketch
 
     def learn_one(self, x, y: float, weight: float = 1.0) -> None:
         x = self._check(x)
-        y = float(y)
-        leaf, parent, side = self._descend(x)
+        self._learn_at(self._descend(x), x, float(y), weight)
+
+    def _learn_at(self, route, x: np.ndarray, y: float,
+                  weight: float) -> None:
+        """Learn a checked x at ``route``, the result of ``_descend(x)``."""
+        leaf, parent, left = route
         leaf.learn(x, y, weight)
         self.n_seen += weight
         self.total += weight * y
         if leaf.since_attempt >= self.grace_period:
             leaf.since_attempt = 0.0
-            self._attempt_split(leaf, parent, side)
+            self._attempt_split(leaf, parent, left)
 
-    def _attempt_split(self, leaf: _Leaf, parent, side: str) -> None:
+    def _attempt_split(self, leaf: _Leaf, parent, left: bool) -> None:
         if leaf.depth >= self.max_depth or leaf.n < 2:
             return
         m = min(self.subspace, self.n_features)
@@ -181,8 +198,10 @@ class HoeffdingTree:
                      self._new_leaf(leaf.depth + 1))
         if parent is None:
             self.root = node
+        elif left:
+            parent.left = node
         else:
-            setattr(parent, side, node)
+            parent.right = node
         self.n_splits += 1
 
     # -- introspection --------------------------------------------------
@@ -263,22 +282,35 @@ class AdaptiveForest:
             seed = int(seed_source.generate_state(1)[0] & 0x7FFFFFFF)
         return HoeffdingTree(self.n_features, seed=seed, **self._tree_kw)
 
+    def _check(self, x) -> np.ndarray:
+        return _as_features(x, self.n_features)
+
+    def _leaves(self, x: np.ndarray) -> list:
+        return [tree._descend(x)[0] for tree in self.trees]
+
+    def _mean(self, leaves: list) -> float:
+        return float(np.mean([tree._value(leaf)
+                              for tree, leaf in zip(self.trees, leaves)]))
+
     def predict_one(self, x) -> float:
-        return float(np.mean([t.predict_one(x) for t in self.trees]))
+        return self._mean(self._leaves(self._check(x)))
 
     def learn_one(self, x, y: float) -> None:
+        x = self._check(x)
         y = float(y)
         weights = self._bag_rng.poisson(self.lambda_bag, self.n_trees)
         for i, tree in enumerate(self.trees):
-            err = abs(y - tree.predict_one(x))
+            route = tree._descend(x)
+            err = abs(y - tree._value(route[0]))
             if not self.disable_drift:
-                warned = self._warn[i].update(err)
-                drifted = self._drift[i].update(err)
+                warned, drifted = update_pair(self._warn[i], self._drift[i],
+                                              err)
                 if drifted:
                     replacement = self.background[i]
                     self.trees[i] = (replacement if replacement is not None
                                      else self._new_tree())
                     tree = self.trees[i]
+                    route = tree._descend(x)
                     self.background[i] = None
                     self._warn[i] = AdwinWindow(self.warn_delta)
                     self._drift[i] = AdwinWindow(self.drift_delta)
@@ -288,24 +320,30 @@ class AdaptiveForest:
                     self.n_warnings += 1
             w = float(weights[i])
             if w > 0:
-                tree.learn_one(x, y, w)
-                if self.background[i] is not None:
-                    self.background[i].learn_one(x, y, w)
+                tree._learn_at(route, x, y, w)
+                background = self.background[i]
+                if background is not None:
+                    background._learn_at(background._descend(x), x, y, w)
         self.n_seen += 1
 
     # -- interval support ------------------------------------------------
 
+    @staticmethod
+    def _union(leaves: list) -> KllSketch:
+        sketches = [leaf.sketch for leaf in leaves if leaf.sketch.n > 0]
+        if not sketches:
+            raise InsufficientHistoryError("no populated leaves for this input")
+        return KllSketch.union(sketches)
+
     def merged_sketch(self, x) -> KllSketch:
         """Union sketch of the targets in every tree's routed leaf."""
-        merged: KllSketch | None = None
-        for tree in self.trees:
-            sk = tree.leaf_sketch(x)
-            if sk.n == 0:
-                continue
-            merged = sk if merged is None else KllSketch.merge(merged, sk)
-        if merged is None:
-            raise InsufficientHistoryError("no populated leaves for this input")
-        return merged
+        return self._union(self._leaves(self._check(x)))
+
+    def predict_sketch(self, x) -> tuple[float, KllSketch]:
+        """``predict_one(x)`` and ``merged_sketch(x)`` from one descent per
+        tree."""
+        leaves = self._leaves(self._check(x))
+        return self._mean(leaves), self._union(leaves)
 
     def quantile(self, x, q: float) -> float:
         return self.merged_sketch(x).quantile(q)

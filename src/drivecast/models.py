@@ -353,16 +353,12 @@ class QuantileForest(OnlineModel):
         return self.forest.predict_one(self._check(x))
 
     def predict_interval(self, x) -> PredictionInterval:
-        x = self._check(x)
-        sketch = self.forest.merged_sketch(x)
+        point, sketch = self.forest.predict_sketch(self._check(x))
         if sketch.n < 2:
             raise InsufficientHistoryError("leaf sketches are near-empty")
-        point = self.forest.predict_one(x)
         alpha = (1.0 - self.confidence) / 2.0
-        lower = min(sketch.quantile(alpha), point)
-        upper = max(sketch.quantile(1.0 - alpha), point)
-        sigma = sketch.moments()[1]
-        return PredictionInterval(point, lower, upper, sigma)
+        (lo, hi), _, sigma = sketch.describe((alpha, 1.0 - alpha))
+        return PredictionInterval(point, min(lo, point), max(hi, point), sigma)
 
     def learn_one(self, x, y: float) -> None:
         self.forest.learn_one(self._check(x), float(y))

@@ -11,6 +11,7 @@ a drift signal.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -43,49 +44,117 @@ class KllSketch:
         self.seed = int(seed)
         self.n = 0
         self._levels: list[list[float]] = [[]]
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        self._size = 0
+        self._size_caps()
+        # made on the first compaction; many sketches never compact
+        self._rng: np.random.Generator | None = None
 
     # -- sizing ---------------------------------------------------------
 
-    def _capacity(self, height: int) -> int:
-        depth = len(self._levels) - height - 1
-        return int(math.ceil(self.c ** depth * self.k)) + 1
+    def _size_caps(self) -> None:
+        """Capacity of every level, and their sum, for the current height.
 
-    def _max_size(self) -> int:
-        return sum(self._capacity(h) for h in range(len(self._levels)))
+        A level's capacity depends only on its distance from the top, so
+        the capacities change only when a level is added."""
+        height = len(self._levels)
+        self._caps = [int(math.ceil(self.c ** (height - h - 1) * self.k)) + 1
+                      for h in range(height)]
+        self._max = sum(self._caps)
 
     def retained_items(self) -> int:
-        return sum(len(lvl) for lvl in self._levels)
+        return self._size
+
+    def __getstate__(self) -> dict:
+        # the size and capacities follow from the levels; leaving them
+        # out keeps a pickled sketch as small as its contents
+        state = self.__dict__.copy()
+        del state["_size"], state["_caps"], state["_max"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._size = sum(len(lvl) for lvl in self._levels)
+        self._size_caps()
 
     # -- updates --------------------------------------------------------
 
-    def insert(self, value: float) -> None:
+    def insert(self, value: float, count: int = 1) -> None:
+        """Add ``count`` copies of ``value``; the same as ``count`` single
+        inserts, compactions included."""
         value = float(value)
         if not math.isfinite(value):
             raise ValueError("sketch values must be finite")
-        self._levels[0].append(value)
-        self.n += 1
-        if self.retained_items() >= self._max_size():
-            self._compress()
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        level0 = self._levels[0]
+        while count > 0:
+            # a single insert compacts as soon as the sketch is full, so
+            # copies go in bulk up to that point
+            batch = min(count, self._max - self._size)
+            level0.extend([value] * batch)
+            self.n += batch
+            self._size += batch
+            count -= batch
+            if self._size >= self._max:
+                self._compress()
+                level0 = self._levels[0]
 
     def _compress(self) -> None:
-        while self.retained_items() >= self._max_size():
-            for h in range(len(self._levels)):
-                if len(self._levels[h]) >= self._capacity(h):
+        while self._size >= self._max:
+            # _size >= sum(_caps), so some level is at capacity
+            for h, lvl in enumerate(self._levels):
+                if len(lvl) >= self._caps[h]:
                     if h + 1 == len(self._levels):
                         self._levels.append([])
+                        self._size_caps()
                     self._levels[h + 1].extend(self._compact_level(h))
                     break
-            else:
-                break
 
     def _compact_level(self, h: int) -> list[float]:
         lvl = sorted(self._levels[h])
         straggler = lvl.pop() if len(lvl) % 2 == 1 else None
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.PCG64(self.seed))
         offset = int(self._rng.random() < 0.5)
         survivors = lvl[offset::2]
         self._levels[h] = [straggler] if straggler is not None else []
+        self._size -= len(lvl) - len(survivors)
         return survivors
+
+    def _absorb(self, other: "KllSketch") -> None:
+        """Fold ``other`` into this sketch, as ``merge`` does into a fresh
+        one: same combined seed, same level order, same compactions."""
+        if self.k != other.k or self.c != other.c:
+            raise ValueError("cannot merge sketches with different parameters")
+        self.seed = (self.seed ^ other.seed ^ 0x9E3779B9) & 0x7FFFFFFF
+        self._rng = None
+        height = len(self._levels)
+        for h, lvl in enumerate(other._levels):
+            if h < height:
+                self._levels[h].extend(lvl)
+            else:
+                self._levels.append(list(lvl))
+        if len(self._levels) != height:
+            self._size_caps()
+        self.n += other.n
+        self._size += other._size
+        self._compress()
+
+    @staticmethod
+    def union(sketches) -> "KllSketch":
+        """Fresh sketch summarizing every input stream.
+
+        Equal to folding ``merge`` over the inputs from the left, built in
+        one sketch instead of one per merge.  Inputs are not modified."""
+        it = iter(sketches)
+        first = next(it)
+        out = KllSketch(first.k, first.c, first.seed)
+        out._levels = [list(lvl) for lvl in first._levels]
+        out.n, out._size = first.n, first._size
+        out._size_caps()
+        for sk in it:
+            out._absorb(sk)
+        return out
 
     @staticmethod
     def merge(a: "KllSketch", b: "KllSketch") -> "KllSketch":
@@ -95,30 +164,30 @@ class KllSketch:
         symmetric combination of the input seeds, so merge(a, b) and
         merge(b, a) answer queries identically.
         """
-        if a.k != b.k or a.c != b.c:
-            raise ValueError("cannot merge sketches with different parameters")
-        out = KllSketch(a.k, a.c, seed=(a.seed ^ b.seed ^ 0x9E3779B9) & 0x7FFFFFFF)
-        height = max(len(a._levels), len(b._levels))
-        out._levels = [[] for _ in range(height)]
-        for src in (a, b):
-            for h, lvl in enumerate(src._levels):
-                out._levels[h].extend(lvl)
-        out.n = a.n + b.n
-        out._compress()
-        return out
+        return KllSketch.union((a, b))
 
     # -- queries --------------------------------------------------------
 
     def _weighted_items(self) -> tuple[np.ndarray, np.ndarray]:
-        values: list[float] = []
-        weights: list[float] = []
-        for h, lvl in enumerate(self._levels):
-            values.extend(lvl)
-            weights.extend([float(2 ** h)] * len(lvl))
-        v = np.asarray(values)
-        w = np.asarray(weights)
+        v = np.fromiter(itertools.chain.from_iterable(self._levels),
+                        dtype=float, count=self._size)
+        w = np.repeat(2.0 ** np.arange(len(self._levels)),
+                      [len(lvl) for lvl in self._levels])
         order = np.argsort(v, kind="stable")
         return v[order], w[order]
+
+    def _quantile_of(self, v: np.ndarray, cum: np.ndarray, q: float) -> float:
+        target = max(q * self.n, 1.0)
+        idx = int(np.searchsorted(cum, target, side="left"))
+        idx = min(idx, len(v) - 1)
+        return float(v[idx])
+
+    @staticmethod
+    def _moments_of(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        total = w.sum()
+        mean = float((w * v).sum() / total)
+        var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
+        return mean, math.sqrt(max(var, 0.0))
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
@@ -126,21 +195,25 @@ class KllSketch:
         if self.n == 0:
             raise InsufficientHistoryError("empty sketch")
         v, w = self._weighted_items()
-        cum = np.cumsum(w)
-        target = max(q * self.n, 1.0)
-        idx = int(np.searchsorted(cum, target, side="left"))
-        idx = min(idx, len(v) - 1)
-        return float(v[idx])
+        return self._quantile_of(v, np.cumsum(w), q)
 
     def moments(self) -> tuple[float, float]:
         """Gaussian fit (mean, std) from the weighted retained items."""
         if self.n < 2:
             raise InsufficientHistoryError("need at least 2 values for moments")
+        return self._moments_of(*self._weighted_items())
+
+    def describe(self, qs) -> tuple[list[float], float, float]:
+        """``[quantile(q) for q in qs]`` and ``moments()`` from one sort of
+        the retained items."""
+        if not all(0.0 <= q <= 1.0 for q in qs):
+            raise ValueError("q must be in [0, 1]")
+        if self.n < 2:
+            raise InsufficientHistoryError("need at least 2 values for moments")
         v, w = self._weighted_items()
-        total = w.sum()
-        mean = float((w * v).sum() / total)
-        var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
-        return mean, math.sqrt(max(var, 0.0))
+        cum = np.cumsum(w)
+        return ([self._quantile_of(v, cum, q) for q in qs],
+                *self._moments_of(v, w))
 
 
 class AdwinWindow:
@@ -202,24 +275,25 @@ class AdwinWindow:
         self._level_counts[0] += 1
 
     def _compress(self) -> None:
+        # every level held at most max_buckets before the new bucket came
+        # in at level 0, and a merge adds one bucket to the next level
+        # only: the first level within bounds ends the cascade
         level = 0
-        while level < len(self._level_counts):
-            if self._level_counts[level] > self.max_buckets:
-                p = self._level_start(level)
-                # merge the two oldest buckets of this level into one of
-                # the next level; totals are unchanged
-                self._counts[p] += self._counts[p + 1]
-                self._sums[p] += self._sums[p + 1]
-                self._sumsqs[p] += self._sumsqs[p + 1]
-                for arr in (self._counts, self._sums, self._sumsqs):
-                    arr[p + 1: self._rows - 1] = arr[p + 2: self._rows]
-                self._rows -= 1
-                self._level_counts[level] -= 2
-                if level + 1 == len(self._level_counts):
-                    self._level_counts.append(0)
-                self._level_counts[level + 1] += 1
-            else:
-                level += 1
+        while self._level_counts[level] > self.max_buckets:
+            p = self._level_start(level)
+            # merge the two oldest buckets of this level into one of
+            # the next level; totals are unchanged
+            self._counts[p] += self._counts[p + 1]
+            self._sums[p] += self._sums[p + 1]
+            self._sumsqs[p] += self._sumsqs[p + 1]
+            for arr in (self._counts, self._sums, self._sumsqs):
+                arr[p + 1: self._rows - 1] = arr[p + 2: self._rows]
+            self._rows -= 1
+            self._level_counts[level] -= 2
+            if level + 1 == len(self._level_counts):
+                self._level_counts.append(0)
+            self._level_counts[level + 1] += 1
+            level += 1
 
     def _drop_oldest(self) -> None:
         self.total -= self._counts[0]
@@ -233,8 +307,12 @@ class AdwinWindow:
                 self._level_counts[level] -= 1
                 break
 
-    def update(self, v: float) -> bool:
-        """Insert one value; returns True when a distribution shift was cut."""
+    def update(self, v: float, scan: bool = True) -> bool:
+        """Insert one value; returns True when a distribution shift was cut.
+
+        ``scan=False`` skips the search for a cut; only a caller that
+        knows the search would find none may pass it (see
+        ``update_pair``)."""
         v = float(v)
         self._append_new(v)
         self.total += 1.0
@@ -243,7 +321,7 @@ class AdwinWindow:
         self._compress()
 
         drift = False
-        while self._rows >= 2:
+        while scan and self._rows >= 2:
             cut = _kernels.adwin_cut(
                 self._counts[: self._rows],
                 self._sums[: self._rows],
@@ -272,3 +350,19 @@ class AdwinWindow:
             "n_drifts": self.n_drifts,
         }
 
+
+def update_pair(warn: AdwinWindow, drift: AdwinWindow,
+                v: float) -> tuple[bool, bool]:
+    """``(warn.update(v), drift.update(v))`` for a warning window and a
+    drift window made together and fed the same values since.
+
+    Until the warning window first cuts, the two hold the same buckets
+    (given the same ``max_buckets``).  While they do, and
+    ``warn.delta >= drift.delta``, the drift bound is no smaller than the
+    warning bound at every cut point, in floating point too (every step
+    from delta to bound is monotone), so when the warning window finds
+    no cut the drift window skips its search."""
+    warned = warn.update(v)
+    shared = (warn.n_drifts == 0 and warn.delta >= drift.delta
+              and warn.max_buckets == drift.max_buckets)
+    return warned, drift.update(v, scan=not shared)

@@ -237,16 +237,25 @@ class TestCliErrors:
         assert list(results) == ["departure"]
         assert list(results["departure"]) == ["mean"]
 
-    @pytest.mark.parametrize("stage, grids, dawn, code", [
-        ("tune", {"qknn": {"kk": [3]}}, False, 2),  # misspelled parameter
-        ("select", {}, True, 4),  # one-hot category the schema lacks
-        ("tune", {"qr": {"lr": [1e300]}}, False, 2),  # every setting diverges
-    ], ids=["unknown-param", "unknown-category", "all-diverge"])
+    @pytest.mark.parametrize("stage, grids, dawn, tuned, code", [
+        ("tune", {"qknn": {"kk": [3]}}, False, None, 2),  # misspelled name
+        ("select", {}, True, None, 4),  # one-hot category the schema lacks
+        ("tune", {"qr": {"lr": [1e300]}}, False, None, 2),  # all diverge
+        ("evaluate", {}, False, {"kk": 3}, 2),  # tuned.json names no param
+        ("evaluate", {}, False, {"lr": 1e300}, 2),  # tuned setting diverges
+        ("evaluate", {}, False, [0.1], 2),  # params are not an object
+    ], ids=["unknown-param", "unknown-category", "all-diverge",
+            "tuned-unknown-param", "tuned-diverges", "tuned-not-object"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
-                                         grids, dawn, code):
+                                         grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
         cfg = write_config(tmp_path, tune={"max_vehicles": 2, "grids": grids},
                            evaluate={"models": ["mean", "qr"], "warmup": 10})
+        if tuned is not None:
+            path = tmp_path / "out" / "tune" / "tuned.json"
+            edited = json.loads(path.read_text())
+            edited["departure"]["qr"] = {"params": tuned, "mae": 1.0}
+            path.write_text(json.dumps(edited))
         if dawn:
             path = tmp_path / "out" / "preprocess" / "examples.csv"
             text = path.read_text()
@@ -261,3 +270,5 @@ class TestCliErrors:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        if tuned is not None:
+            assert "tuned.json departure.qr" in proc.stderr

@@ -1,5 +1,6 @@
 """Incremental tree growth, split correctness, and forest drift recovery."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,14 @@ import pytest
 
 from drivecast.exceptions import InsufficientHistoryError
 from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
+from drivecast.models import QuantileForest
+
+# recorded with one sketch insert per bag copy, pairwise sketch merges, two
+# descents per tree and separate drift-window scans; the faster paths must
+# reproduce it bit for bit
+GOLDEN_DIGEST = ("3748c7d3e1dec13bcd9cd482e2f49be1"
+                 "9180a356676a04cb0d52c5ca4b563f18")
+GOLDEN_COUNTS = (28, 31, 80)  # warnings, replacements, splits
 
 
 def threshold_stream(rng, n, flip=0.0):
@@ -187,3 +196,28 @@ class TestAdaptiveForest:
         sk = forest.merged_sketch(np.array([1.5, 0.0]))
         assert sk.n > 0
         assert sk.quantile(0.5) == pytest.approx(1.5, abs=1.0)
+
+    def test_golden_intervals_and_counters(self):
+        """Every interval and counter of a seeded run with a regime flip,
+        pinned bit for bit: a speed-up of the forest, its sketches or its
+        drift windows must not move any of them."""
+        rng = np.random.default_rng(2024)
+        xs = rng.normal(size=(2000, 3))
+        ys = (np.where(xs[:, 0] > 0, 5.0, -5.0) + xs[:, 1]
+              + rng.normal(0, 0.5, 2000))
+        ys[1000:] = 3.0 - ys[1000:]
+        model = QuantileForest(3, seed=7, n_trees=4)
+        digest = hashlib.sha256()
+        for x, y in zip(xs, ys):
+            try:
+                pi = model.predict_interval(x)
+                step = (pi.point, pi.lower, pi.upper, pi.sigma)
+            except InsufficientHistoryError:
+                step = None
+            digest.update(repr(step).encode())
+            model.learn_one(x, y)
+        forest = model.forest
+        splits = sum(t.n_splits for t in forest.trees)
+        assert (forest.n_warnings, forest.n_replacements,
+                splits) == GOLDEN_COUNTS
+        assert digest.hexdigest() == GOLDEN_DIGEST

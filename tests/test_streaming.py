@@ -1,5 +1,6 @@
 """Quantile sketch accuracy/merge/memory and adaptive-window behavior."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
-from drivecast.streaming import AdwinWindow, KllSketch
+from drivecast.streaming import AdwinWindow, KllSketch, update_pair
 
 QS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
@@ -133,6 +135,58 @@ class TestKllSketch:
                 twin.insert(float(v))
             assert answers(sk) == answers(twin)
 
+    @pytest.mark.parametrize("count", range(21))
+    def test_weighted_insert_equals_single_inserts(self, count):
+        # k=8 fills at 9 items, so the prefills put the bulk insert before,
+        # on and across one or more compaction points
+        for prefill in range(2, 40):
+            bulk, single = (KllSketch(k=8, seed=prefill) for _ in range(2))
+            for v in range(prefill):
+                bulk.insert(float(v % 7))
+                single.insert(float(v % 7))
+            bulk.insert(2.5, count)
+            for _ in range(count):
+                single.insert(2.5)
+            assert bulk._levels == single._levels
+            assert answers(bulk) == answers(single)
+            # and the coin flips: later compactions still agree
+            for v in range(50):
+                bulk.insert(v / 3.0)
+                single.insert(v / 3.0)
+            assert bulk._levels == single._levels
+
+    def test_weighted_insert_rejects_negative_count(self):
+        with pytest.raises(ValueError):
+            KllSketch(k=8).insert(1.0, -1)
+
+    def test_union_equals_pairwise_merge_chain(self):
+        rng = np.random.default_rng(12)
+        sketches = []
+        for i, size in enumerate((300, 5, 0, 40, 1000, 64)):
+            sk = KllSketch(k=16, seed=100 + i)
+            for v in rng.normal(i, 1.0, size):
+                sk.insert(v)
+            sketches.append(sk)
+        before = [answers(sk) for sk in sketches if sk.n >= 2]
+        union = KllSketch.union(sketches)
+        chain = functools.reduce(KllSketch.merge, sketches)
+        assert union._levels == chain._levels
+        assert union.seed == chain.seed
+        assert answers(union) == answers(chain)
+        assert [answers(sk) for sk in sketches if sk.n >= 2] == before
+        for v in rng.normal(size=500):
+            union.insert(v)
+            chain.insert(v)
+        assert answers(union) == answers(chain)
+
+    def test_describe_matches_separate_queries(self):
+        sk = KllSketch(k=16, seed=4)
+        for v in np.random.default_rng(13).lognormal(size=700):
+            sk.insert(v)
+        qs = (0.05, 0.5, 0.95)
+        assert sk.describe(qs) == ([sk.quantile(q) for q in qs],
+                                   *sk.moments())
+
     def test_merge_mismatched_k_rejected(self):
         with pytest.raises(ValueError):
             KllSketch.merge(KllSketch(k=16), KllSketch(k=32))
@@ -237,6 +291,51 @@ class TestAdwinWindow:
         for t in range(3000):
             w.update(t / 300.0 + rng.normal(0, 0.2))
         assert w.mean == pytest.approx(3000 / 300.0, abs=1.5)
+
+    @pytest.mark.parametrize("warn_delta, drift_delta", [
+        (0.01, 0.002), (0.002, 0.002), (0.002, 0.01)])
+    def test_paired_scan_equals_independent_windows(self, monkeypatch,
+                                                    warn_delta, drift_delta):
+        rng = np.random.default_rng(5)
+        stream = np.concatenate([rng.normal(0.0, 1.0, 700),
+                                 rng.normal(1.5, 1.0, 700),
+                                 rng.normal(-1.0, 2.0, 700)])
+        scans = [0]
+        adwin_cut = streaming._kernels.adwin_cut
+
+        def counted(*args):
+            scans[0] += 1
+            return adwin_cut(*args)
+
+        monkeypatch.setattr(streaming._kernels, "adwin_cut", counted)
+
+        def run(update):
+            """Flags per value; both windows restart after a drift, as
+            the forest's do."""
+            def pair():
+                return AdwinWindow(warn_delta), AdwinWindow(drift_delta)
+
+            warn, drift = pair()
+            flags = []
+            scans[0] = 0
+            for v in stream:
+                flags.append(update(warn, drift, v))
+                if flags[-1][1]:
+                    warn, drift = pair()
+            return flags, scans[0], (warn.to_dict(), drift.to_dict())
+
+        paired = run(update_pair)
+        alone = run(lambda w, d, v: (w.update(v), d.update(v)))
+        assert paired[0] == alone[0]
+        assert paired[2] == alone[2]
+        assert any(d for _, d in alone[0])
+        if warn_delta > drift_delta:
+            # the windows also fell out of step: a warning without a drift
+            assert any(w and not d for w, d in alone[0])
+        if warn_delta >= drift_delta:
+            assert paired[1] < alone[1]
+        else:
+            assert paired[1] == alone[1]
 
     def test_delta_validated(self):
         with pytest.raises(ValueError):
