@@ -70,35 +70,49 @@ def split_gains(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
 
 
 def adwin_cut(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray,
-              delta: float) -> int:
+              delta: float | np.ndarray, rows: np.ndarray | None = None):
     """First bucket index (oldest side) where the two sub-windows differ.
 
     Buckets are ordered oldest to newest.  Returns -1 when no cut point
     satisfies the variance-aware Hoeffding-style bound at confidence delta.
+
+    Two-dimensional inputs are a stack of windows, one per row and
+    left-aligned: window ``i`` is the first ``rows[i]`` columns (every
+    column when ``rows`` is None), and ``delta`` may hold one confidence
+    per window.  The result is then an integer array whose entry ``i``
+    equals the one-dimensional call on window ``i`` alone.
     """
-    rows = counts.shape[0]
-    if rows < 2:
-        return -1
-    n = counts.sum()
-    if n < 2.0:
-        return -1
-    total = sums.sum()
-    mean = total / n
-    var = max(sumsqs.sum() / n - mean * mean, 0.0)
-    dd = np.log(2.0 * np.log(n) / delta)
+    if counts.ndim == 1:
+        return int(adwin_cut(counts[None], sums[None], sumsqs[None],
+                             delta)[0])
+    k, width = counts.shape
+    if width < 2:
+        return np.full(k, -1)
+    rows = np.full(k, width) if rows is None else np.asarray(rows)
+    # a zero column before and after every window: reduceat then sums a
+    # zero and the window's rows, grouping the terms as numpy's sum of
+    # those rows alone does (the sum of a padded row groups them otherwise)
+    stats = np.zeros((3, k, width + 2))
+    stats[:, :, 1:-1] = (counts, sums, sumsqs)
+    bounds = np.repeat(np.arange(0, k * (width + 2), width + 2), 2)
+    bounds[1::2] += rows + 1
+    n, total, sumsq = np.add.reduceat(stats.reshape(3, -1), bounds,
+                                      axis=1)[:, ::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = total / n
+        var = np.maximum(sumsq / n - mean * mean, 0.0)[:, None]
+        dd = np.log(2.0 * np.log(n) / delta)[:, None]
 
-    n0 = counts[:-1].cumsum()
-    s0 = sums[:-1].cumsum()
-    n1 = n - n0
-    s1 = total - s0
-    ok = (n0 >= _ADWIN_MIN_SUBWINDOW) & (n1 >= _ADWIN_MIN_SUBWINDOW)
-    if not ok.any():
-        return -1
-    minv = 1.0 / n0 + 1.0 / n1
-    eps = np.sqrt(2.0 * minv * var * dd) + (2.0 / 3.0) * dd * minv
-    diff = np.abs(s0 / n0 - s1 / n1)
+        n0, s0 = stats[:2, :, 1:width].cumsum(axis=-1)
+        n1 = n[:, None] - n0
+        s1 = total[:, None] - s0
+        # no cut point lies past a window's rows; a window of fewer than
+        # 2 rows or 2 values has none with 5 values on each side
+        ok = ((n0 >= _ADWIN_MIN_SUBWINDOW) & (n1 >= _ADWIN_MIN_SUBWINDOW)
+              & (np.arange(width - 1) < rows[:, None] - 1))
+        minv = 1.0 / n0 + 1.0 / n1
+        eps = np.sqrt(2.0 * minv * var * dd) + (2.0 / 3.0) * dd * minv
+        diff = np.abs(s0 / n0 - s1 / n1)
     hit = ok & (diff > eps)
-    if not hit.any():
-        return -1
-    return int(np.argmax(hit))
-
+    first = hit.argmax(axis=1)
+    return np.where(hit[np.arange(k), first], first, -1)

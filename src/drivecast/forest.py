@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
-from .streaming import AdwinWindow, KllSketch, update_pair
+from .streaming import AdwinWindow, KllSketch, update_pairs
 
 
 def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
@@ -299,28 +299,31 @@ class AdaptiveForest:
         x = self._check(x)
         y = float(y)
         weights = self._bag_rng.poisson(self.lambda_bag, self.n_trees)
-        for i, tree in enumerate(self.trees):
-            route = tree._descend(x)
-            err = abs(y - tree._value(route[0]))
-            if not self.disable_drift:
-                warned, drifted = update_pair(self._warn[i], self._drift[i],
-                                              err)
-                if drifted:
-                    replacement = self.background[i]
-                    self.trees[i] = (replacement if replacement is not None
-                                     else self._new_tree())
-                    tree = self.trees[i]
-                    route = tree._descend(x)
-                    self.background[i] = None
-                    self._warn[i] = AdwinWindow(self.warn_delta)
-                    self._drift[i] = AdwinWindow(self.drift_delta)
-                    self.n_replacements += 1
-                elif warned and self.background[i] is None:
-                    self.background[i] = self._new_tree()
-                    self.n_warnings += 1
+        # a tree's error and its windows depend on that tree alone, so
+        # every window is fed first and all are scanned together
+        routes = [tree._descend(x) for tree in self.trees]
+        if self.disable_drift:
+            flags = [(False, False)] * self.n_trees
+        else:
+            flags = update_pairs(self._warn, self._drift,
+                                 [abs(y - tree._value(route[0]))
+                                  for tree, route in zip(self.trees, routes)])
+        for i, (warned, drifted) in enumerate(flags):
+            if drifted:
+                replacement = self.background[i]
+                self.trees[i] = (replacement if replacement is not None
+                                 else self._new_tree())
+                routes[i] = self.trees[i]._descend(x)
+                self.background[i] = None
+                self._warn[i] = AdwinWindow(self.warn_delta)
+                self._drift[i] = AdwinWindow(self.drift_delta)
+                self.n_replacements += 1
+            elif warned and self.background[i] is None:
+                self.background[i] = self._new_tree()
+                self.n_warnings += 1
             w = float(weights[i])
             if w > 0:
-                tree._learn_at(route, x, y, w)
+                self.trees[i]._learn_at(routes[i], x, y, w)
                 background = self.background[i]
                 if background is not None:
                     background._learn_at(background._descend(x), x, y, w)

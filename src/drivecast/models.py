@@ -70,6 +70,17 @@ def _norm_ppf(p: float) -> float:
             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int for a count-like hyperparameter.  A bool or a
+    number with a fractional part is rejected, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating))
+            and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def z_for_confidence(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
@@ -265,13 +276,13 @@ class QuantileKnn(OnlineModel):
                  confidence: float = 0.90, k: int = 20, window: int = 365,
                  min_neighbors: int = 5):
         super().__init__(n_features, seed, confidence)
-        if k < 1 or window < 1:
+        self.k = _whole("k", k)
+        self.window = _whole("window", window)
+        self.min_neighbors = _whole("min_neighbors", min_neighbors)
+        if self.k < 1 or self.window < 1:
             raise ValueError("k and window must be positive")
-        if min_neighbors < 1:
+        if self.min_neighbors < 1:
             raise ValueError("min_neighbors must be positive")
-        self.k = int(k)
-        self.window = int(window)
-        self.min_neighbors = int(min_neighbors)
         self._xs = np.zeros((self.window, n_features))
         self._ys = np.zeros(self.window)
         self._stamps = np.zeros(self.window, dtype=np.int64)
@@ -342,6 +353,9 @@ class QuantileForest(OnlineModel):
                  warn_delta: float = 0.01, drift_delta: float = 0.002,
                  disable_drift: bool = False):
         super().__init__(n_features, seed, confidence)
+        n_trees = _whole("n_trees", n_trees)
+        n_bins = _whole("n_bins", n_bins)
+        max_depth = _whole("max_depth", max_depth)
         self.forest = AdaptiveForest(
             n_features, n_trees=n_trees, seed=seed, lambda_bag=lambda_bag,
             grace_period=grace_period, delta_split=delta_split,
@@ -387,7 +401,9 @@ class McDropoutNet(OnlineModel):
                  dropout: float = 0.1, lr: float = 0.02, n_passes: int = 50,
                  residual_window: int = 10, max_grad_norm: float = 10.0):
         super().__init__(n_features, seed, confidence)
-        hidden = tuple(int(h) for h in hidden)
+        hidden = tuple(_whole("hidden", h) for h in hidden)
+        n_passes = _whole("n_passes", n_passes)
+        residual_window = _whole("residual_window", residual_window)
         if not hidden or any(h < 1 for h in hidden):
             raise ValueError("hidden must name at least one positive width")
         if not 0.0 <= dropout < 1.0:
@@ -401,8 +417,8 @@ class McDropoutNet(OnlineModel):
         self.hidden = hidden
         self.dropout = float(dropout)
         self.lr = float(lr)
-        self.n_passes = int(n_passes)
-        self.residual_window = int(residual_window)
+        self.n_passes = n_passes
+        self.residual_window = residual_window
         self.max_grad_norm = float(max_grad_norm)
 
         self._train_rng = np.random.Generator(np.random.PCG64(

@@ -310,31 +310,16 @@ class AdwinWindow:
     def update(self, v: float, scan: bool = True) -> bool:
         """Insert one value; returns True when a distribution shift was cut.
 
-        ``scan=False`` skips the search for a cut; only a caller that
-        knows the search would find none may pass it (see
-        ``update_pair``)."""
+        ``scan=False`` leaves the search for a cut to the caller, who runs
+        it for many windows at once (see ``update_pairs``) or skips it when
+        it knows the search would find none (see ``update_pair``)."""
         v = float(v)
         self._append_new(v)
         self.total += 1.0
         self.total_sum += v
         self.total_sumsq += v * v
         self._compress()
-
-        drift = False
-        while scan and self._rows >= 2:
-            cut = _kernels.adwin_cut(
-                self._counts[: self._rows],
-                self._sums[: self._rows],
-                self._sumsqs[: self._rows],
-                self.delta,
-            )
-            if cut < 0:
-                break
-            self._drop_oldest()
-            drift = True
-        if drift:
-            self.n_drifts += 1
-        return drift
+        return scan and bool(_cut_windows([self]))
 
     # -- introspection --------------------------------------------------
 
@@ -351,18 +336,92 @@ class AdwinWindow:
         }
 
 
+def _cut_windows(windows, partners=None) -> set:
+    """Cut every window until no cut is left; returns the windows cut.
+
+    Each window drops its oldest bucket while its cut scan finds a cut, as
+    ``update`` does after an insert.  One ``_kernels.adwin_cut`` call per
+    round scans every window still cutting, and a window's count of drifts
+    goes up once if it was cut.  ``partners`` maps a window to another
+    that starts scanning in the round after the first one is first cut."""
+    partners = partners or {}
+    cut = set()
+    scanning = [w for w in windows if w._rows >= 2]
+    while scanning:
+        width = max(w._rows for w in scanning)
+        stats = _stack(scanning)[:, :, :width]
+        found = _kernels.adwin_cut(
+            stats[:, 0], stats[:, 1], stats[:, 2],
+            np.array([w.delta for w in scanning]),
+            np.array([w._rows for w in scanning]))
+        still = []
+        for w, at in zip(scanning, found):
+            if at < 0:
+                continue
+            w._drop_oldest()
+            if w not in cut:
+                cut.add(w)
+                partner = partners.get(w)
+                if partner is not None and partner._rows >= 2:
+                    still.append(partner)
+            if w._rows >= 2:
+                still.append(w)
+        scanning = still
+    for w in cut:
+        w.n_drifts += 1
+    return cut
+
+
+def _stack(windows) -> np.ndarray:
+    """(window, statistic, row) stack of the windows' bucket counts, sums
+    and sums of squares; rows past a window's own are left as they are."""
+    cap = max(w._cap for w in windows)
+    if all(w._cap == cap for w in windows):
+        return np.array([(w._counts, w._sums, w._sumsqs) for w in windows])
+    out = np.zeros((len(windows), 3, cap))
+    for out_w, w in zip(out, windows):
+        out_w[:, :w._cap] = (w._counts, w._sums, w._sumsqs)
+    return out
+
+
+def _share_buckets(warn: AdwinWindow, drift: AdwinWindow) -> bool:
+    """Whether ``drift`` holds the same buckets as ``warn`` and would find
+    no cut where ``warn`` finds none.
+
+    For a warning and a drift window made together and fed the same
+    values since, that holds until the warning window first cuts (given
+    the same ``max_buckets``).  With ``warn.delta >= drift.delta`` the
+    drift bound is then no smaller than the warning bound at every cut
+    point, in floating point too (every step from delta to bound is
+    monotone)."""
+    return (warn.n_drifts == 0 and warn.delta >= drift.delta
+            and warn.max_buckets == drift.max_buckets)
+
+
 def update_pair(warn: AdwinWindow, drift: AdwinWindow,
                 v: float) -> tuple[bool, bool]:
     """``(warn.update(v), drift.update(v))`` for a warning window and a
-    drift window made together and fed the same values since.
-
-    Until the warning window first cuts, the two hold the same buckets
-    (given the same ``max_buckets``).  While they do, and
-    ``warn.delta >= drift.delta``, the drift bound is no smaller than the
-    warning bound at every cut point, in floating point too (every step
-    from delta to bound is monotone), so when the warning window finds
-    no cut the drift window skips its search."""
+    drift window made together and fed the same values since; the drift
+    window skips its cut search while it shares the warning window's
+    buckets."""
     warned = warn.update(v)
-    shared = (warn.n_drifts == 0 and warn.delta >= drift.delta
-              and warn.max_buckets == drift.max_buckets)
-    return warned, drift.update(v, scan=not shared)
+    return warned, drift.update(v, scan=not _share_buckets(warn, drift))
+
+
+def update_pairs(warns, drifts, values) -> list[tuple[bool, bool]]:
+    """``[update_pair(w, d, v) for w, d, v in zip(warns, drifts, values)]``
+    with the cut scans of every window in one kernel call per round.
+
+    A drift window that shares its warning window's buckets joins the
+    scan only once its warning window cuts, as ``update_pair`` has it."""
+    for warn, drift, v in zip(warns, drifts, values):
+        warn.update(v, scan=False)
+        drift.update(v, scan=False)
+    scan, partners = list(warns), {}
+    for warn, drift in zip(warns, drifts):
+        if _share_buckets(warn, drift):
+            partners[warn] = drift
+        else:
+            scan.append(drift)
+    cut = _cut_windows(scan, partners)
+    return [(warn in cut, drift in cut) for warn, drift in zip(warns, drifts)]

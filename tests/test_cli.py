@@ -63,6 +63,9 @@ class TestConfig:
          "synth.drift.fraction"),
         ({"select": {"holdout_fraction": 0.95}},
          "select.holdout_fraction"),
+        ({"tune": {"grids": {"qknn": {"k": [10.5]}}}}, "tune.grids.qknn.k"),
+        ({"tune": {"grids": {"mcnn": {"hidden": [[16, 8.5]]}}}},
+         "tune.grids.mcnn.hidden"),
     ])
     def test_rejects_bad_values(self, tmp_path, bad, field):
         path = tmp_path / "c.json"
@@ -244,8 +247,11 @@ class TestCliErrors:
         ("evaluate", {}, False, {"kk": 3}, 2),  # tuned.json names no param
         ("evaluate", {}, False, {"lr": 1e300}, 2),  # tuned setting diverges
         ("evaluate", {}, False, [0.1], 2),  # params are not an object
+        ("tune", {"qknn": {"k": [10.5]}}, False, None, 2),  # truncated count
+        ("tune", {"qknn": {"k": [True]}}, False, None, 2),  # count as a bool
     ], ids=["unknown-param", "unknown-category", "all-diverge",
-            "tuned-unknown-param", "tuned-diverges", "tuned-not-object"])
+            "tuned-unknown-param", "tuned-diverges", "tuned-not-object",
+            "fractional-count", "boolean-count"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
                                          grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
 from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
 from drivecast.models import QuantileForest
@@ -196,6 +197,45 @@ class TestAdaptiveForest:
         sk = forest.merged_sketch(np.array([1.5, 0.0]))
         assert sk.n > 0
         assert sk.quantile(0.5) == pytest.approx(1.5, abs=1.0)
+
+    def test_shared_drift_window_scans_once_its_partner_cuts(self,
+                                                             monkeypatch):
+        """A drift window holding its warning window's buckets is left out
+        of the batched scan until the warning window first cuts, and
+        scanned in that same step; the others scan in every step."""
+        rounds = []
+        stack = streaming._stack
+
+        def recorded(windows):
+            rounds.append(list(windows))
+            return stack(windows)
+
+        monkeypatch.setattr(streaming, "_stack", recorded)
+        rng = np.random.default_rng(8)
+        xs, ys = threshold_stream(rng, 1500)
+        ys[700:] += 6.0
+        forest = AdaptiveForest(3, n_trees=4, seed=3)
+        seen = {"skipped": 0, "joined": 0, "alone": 0}
+        for x, y in zip(xs, ys):
+            pairs = list(zip(forest._warn, forest._drift))
+            shared = [w.n_drifts == 0 for w, _ in pairs]
+            rounds.clear()
+            forest.learn_one(x, y)
+            scanned = [{id(w) for w in r} for r in rounds]
+            for (warn, drift), was_shared in zip(pairs, shared):
+                in_round = [id(drift) in r for r in scanned]
+                if not was_shared:
+                    assert drift._rows < 2 or in_round[:1] == [True]
+                    seen["alone"] += 1
+                elif warn.n_drifts == 0:
+                    assert not any(in_round)
+                    seen["skipped"] += 1
+                else:
+                    # joins in the round after the warning window's cut
+                    first = in_round.index(True)
+                    assert first >= 1 and id(warn) in scanned[first - 1]
+                    seen["joined"] += 1
+        assert min(seen.values()) > 0, seen
 
     def test_golden_intervals_and_counters(self):
         """Every interval and counter of a seeded run with a regime flip,

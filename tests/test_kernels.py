@@ -201,3 +201,135 @@ class TestAdwinCut:
         sumsqs = np.array([0.0, 20000.0])
         assert _kernels.adwin_cut(counts, sums, sumsqs, 0.002) == -1
 
+
+def numpy_adwin_cut(counts, sums, sumsqs, delta):
+    """The one-window numpy scan the stacked kernel must reproduce bit for
+    bit: totals from numpy's sum of the window's own rows."""
+    rows = counts.shape[0]
+    if rows < 2:
+        return -1
+    n = counts.sum()
+    if n < 2.0:
+        return -1
+    total = sums.sum()
+    mean = total / n
+    var = max(sumsqs.sum() / n - mean * mean, 0.0)
+    dd = np.log(2.0 * np.log(n) / delta)
+    n0 = counts[:-1].cumsum()
+    s0 = sums[:-1].cumsum()
+    n1 = n - n0
+    s1 = total - s0
+    ok = (n0 >= 5.0) & (n1 >= 5.0)
+    if not ok.any():
+        return -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minv = 1.0 / n0 + 1.0 / n1
+        eps = np.sqrt(2.0 * minv * var * dd) + (2.0 / 3.0) * dd * minv
+        diff = np.abs(s0 / n0 - s1 / n1)
+    hit = ok & (diff > eps)
+    return int(np.argmax(hit)) if hit.any() else -1
+
+
+class TestStackedAdwinCut:
+    @staticmethod
+    def window(rng, rows):
+        """Exponential-histogram-like buckets, oldest (largest) first, with
+        a shift planted at a random row; some have fewer than 2 values."""
+        if rng.random() < 0.1:
+            counts = rng.integers(0, 2, rows).astype(float)
+        else:
+            counts = np.sort(2.0 ** rng.integers(0, 8, rows))[::-1]
+        at = rng.integers(0, rows + 1)
+        means = np.where(np.arange(rows) < at, rng.uniform(0, 3),
+                         rng.uniform(0, 3))
+        values = rng.normal(means, rng.uniform(0.01, 2.0), rows)
+        return (counts, counts * values,
+                counts * (values ** 2 + rng.uniform(0, 1, rows)))
+
+    def test_every_window_equals_its_own_scan(self):
+        rng = np.random.default_rng(11)
+        cuts = short = 0
+        for _ in range(400):
+            k = int(rng.integers(1, 16))
+            rows = rng.integers(0, 61, k)
+            rows[rng.random(k) < 0.1] = rng.integers(0, 2)
+            windows = [self.window(rng, int(r)) for r in rows]
+            width = int(rows.max() + rng.integers(0, 9))
+            # columns past a window's rows hold leftovers, as a window's
+            # buffer does after buckets merge or drop
+            stack = rng.uniform(-50, 50, (3, k, width))
+            for i, win in enumerate(windows):
+                stack[:, i, :rows[i]] = win
+            deltas = rng.choice([0.01, 0.002], k)
+            got = _kernels.adwin_cut(*stack, deltas, rows)
+            want = [numpy_adwin_cut(*win, d) for win, d in zip(windows, deltas)]
+            assert got.tolist() == want
+            for win, d, w in zip(windows, deltas, want):
+                if len(win[0]):
+                    assert _kernels.adwin_cut(*win, d) == w
+            cuts += sum(w >= 0 for w in want)
+            short += sum(r < 2 or c.sum() < 2 for r, (c, _, _)
+                         in zip(rows, windows))
+        assert cuts > 100 and short > 20
+
+    @staticmethod
+    def on_the_boundary(rng, rows, delta):
+        """Two windows whose planted shifts are adjacent floats, the smaller
+        one just short of a cut: their decisions turn on the last bit of
+        the window totals, so a total summed in another order shows."""
+        counts = np.sort(2.0 ** rng.integers(0, 6, rows))[::-1]
+        at = int(rng.integers(2, rows - 1))
+        base = rng.normal(1.0, 0.3, rows)
+
+        def window(shift):
+            values = base + np.where(np.arange(rows) >= at, shift, 0.0)
+            return counts, counts * values, counts * (values ** 2 + 0.05)
+
+        lo, hi = 0.0, 8.0
+        if (numpy_adwin_cut(*window(lo), delta) >= 0
+                or numpy_adwin_cut(*window(hi), delta) < 0):
+            return []
+        while lo < (mid := (lo + hi) / 2.0) < hi:
+            if numpy_adwin_cut(*window(mid), delta) >= 0:
+                hi = mid
+            else:
+                lo = mid
+        return [window(lo), window(hi)]
+
+    def test_decisions_on_the_boundary_match(self):
+        rng = np.random.default_rng(14)
+        windows = []
+        while len(windows) < 120:
+            windows += self.on_the_boundary(rng, int(rng.integers(9, 61)),
+                                            0.002)
+        rows = np.array([len(w[0]) for w in windows])
+        stack = rng.uniform(-50, 50, (3, len(windows), rows.max() + 3))
+        for i, win in enumerate(windows):
+            stack[:, i, :rows[i]] = win
+        got = _kernels.adwin_cut(*stack, 0.002, rows)
+        want = [numpy_adwin_cut(*w, 0.002) for w in windows]
+        assert got.tolist() == want
+        assert want[::2].count(-1) == len(windows) // 2
+        assert -1 not in want[1::2]
+
+    def test_long_windows_match(self):
+        """Past 128 rows numpy splits a sum in halves."""
+        rng = np.random.default_rng(12)
+        rows = np.array([129, 200, 300, 7])
+        windows = [self.window(rng, int(r)) for r in rows]
+        stack = np.zeros((3, len(rows), rows.max()))
+        for i, win in enumerate(windows):
+            stack[:, i, :rows[i]] = win
+        got = _kernels.adwin_cut(*stack, 0.002, rows)
+        assert got.tolist() == [numpy_adwin_cut(*w, 0.002) for w in windows]
+
+    def test_full_rows_by_default_and_narrow_stacks(self):
+        rng = np.random.default_rng(13)
+        stack = np.stack([np.stack(self.window(rng, 12)) for _ in range(3)],
+                         axis=1)
+        got = _kernels.adwin_cut(*stack, 0.002)
+        assert got.tolist() == [numpy_adwin_cut(*stack[:, i], 0.002)
+                                for i in range(3)]
+        assert _kernels.adwin_cut(*np.ones((3, 2, 1)), 0.002).tolist() == \
+            [-1, -1]
+

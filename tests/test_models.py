@@ -386,6 +386,27 @@ class TestFactoryAndCheckpoints:
         with pytest.raises(ValueError):
             make_model("torch", 3)
 
+    @pytest.mark.parametrize("kind, param, good", [
+        ("qknn", "k", 10), ("qknn", "window", 30),
+        ("qknn", "min_neighbors", 3), ("qarf", "n_trees", 3),
+        ("qarf", "n_bins", 8), ("qarf", "max_depth", 6),
+        ("mcnn", "n_passes", 5), ("mcnn", "residual_window", 4)])
+    def test_count_params_are_whole_numbers(self, kind, param, good):
+        """A bool or a fractional count is an error, not a truncation; an
+        integral float is the same count."""
+        for bad in (good + 0.5, True, False, float("nan")):
+            with pytest.raises(ValueError, match=param):
+                make_model(kind, 3, **{param: bad})
+        model = make_model(kind, 3, **{param: float(good)})
+        same = make_model(kind, 3, **{param: good})
+        assert pickle.dumps(model) == pickle.dumps(same)
+
+    def test_hidden_widths_are_whole_numbers(self):
+        for bad in ((16.5,), (True,), (8, 4.25)):
+            with pytest.raises(ValueError, match="hidden"):
+                McDropoutNet(3, hidden=bad)
+        assert McDropoutNet(3, hidden=(8.0, 4)).hidden == (8, 4)
+
     @pytest.mark.parametrize("kind", ["mean", "qr", "qknn", "qarf", "mcnn"])
     def test_roundtrip_then_identical_continuation(self, kind):
         """A pickled model is the whole model: the restored copy learns

@@ -1,5 +1,6 @@
 """Quantile sketch accuracy/merge/memory and adaptive-window behavior."""
 
+import copy
 import functools
 import math
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
-from drivecast.streaming import AdwinWindow, KllSketch, update_pair
+from drivecast.streaming import (AdwinWindow, KllSketch, update_pair,
+                                 update_pairs)
 
 QS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
@@ -336,6 +338,69 @@ class TestAdwinWindow:
             assert paired[1] < alone[1]
         else:
             assert paired[1] == alone[1]
+
+    @pytest.mark.parametrize("warn_delta, drift_delta", [
+        (0.01, 0.002), (0.002, 0.002), (0.002, 0.01)])
+    def test_batched_pairs_equal_one_pair_at_a_time(self, monkeypatch,
+                                                    warn_delta, drift_delta):
+        """``update_pairs`` gives every pair the flags and buckets that
+        ``update_pair`` gives it, in one kernel call per scan round."""
+        rng = np.random.default_rng(6)
+        n_pairs, steps = 6, 1500
+        shift_at = rng.integers(200, 1200, n_pairs)
+        streams = rng.normal(0.0, 1.0, (steps, n_pairs))
+        streams += np.where(np.arange(steps)[:, None] >= shift_at,
+                            rng.uniform(1.0, 3.0, n_pairs), 0.0)
+        calls = [0]
+        adwin_cut = streaming._kernels.adwin_cut
+
+        def counted(*args):
+            calls[0] += 1
+            return adwin_cut(*args)
+
+        monkeypatch.setattr(streaming._kernels, "adwin_cut", counted)
+
+        def run(update):
+            pairs = [(AdwinWindow(warn_delta), AdwinWindow(drift_delta))
+                     for _ in range(n_pairs)]
+            flags = []
+            calls[0] = 0
+            for values in streams:
+                flags.append(update(pairs, values))
+                for i, (_, drifted) in enumerate(flags[-1]):
+                    if drifted:
+                        pairs[i] = (AdwinWindow(warn_delta),
+                                    AdwinWindow(drift_delta))
+            return flags, calls[0], [(w.to_dict(), d.to_dict())
+                                     for w, d in pairs]
+
+        batched = run(lambda pairs, vs: update_pairs(
+            [w for w, _ in pairs], [d for _, d in pairs], vs))
+        single = run(lambda pairs, vs: [update_pair(w, d, v) for (w, d), v
+                                        in zip(pairs, vs)])
+        assert batched[0] == single[0]
+        assert batched[2] == single[2]
+        assert any(d for step in single[0] for _, d in step)
+        # at least one scan round per step, and far fewer than per window
+        assert steps <= batched[1] < single[1] / 3
+
+    def test_batched_scan_of_windows_of_unequal_capacity(self):
+        """Windows whose buffers differ in size scan as they do alone."""
+        rng = np.random.default_rng(7)
+        windows = []
+        for shift in (0.0, 3.0, 5.0):
+            w = AdwinWindow(0.002)
+            for v in np.concatenate([rng.normal(0, 1, 300),
+                                     rng.normal(shift, 1, 20)]):
+                w.update(v, scan=False)
+            windows.append(w)
+        windows[1]._grow()
+        alone = [copy.deepcopy(w) for w in windows]
+        cut = streaming._cut_windows(windows)
+        assert [w in cut for w in windows] == [
+            bool(streaming._cut_windows([w])) for w in alone]
+        assert [w.to_dict() for w in windows] == [w.to_dict() for w in alone]
+        assert windows[1] in cut and windows[0] not in cut
 
     def test_delta_validated(self):
         with pytest.raises(ValueError):
