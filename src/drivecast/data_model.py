@@ -16,9 +16,10 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
+from operator import attrgetter
 
 from .exceptions import DataError
-from .features import part_of_day
+from .features import DRIVE_SIGNALS, part_of_day
 
 MIN_SESSION_SECONDS = 50.0
 MERGE_GAP_SECONDS = 900.0
@@ -26,9 +27,13 @@ MIN_DRIVES_PER_VEHICLE = 50
 
 SESSION_COLUMNS = [
     "vehicle_id", "kind", "start_iso8601", "end_iso8601", "distance_km",
-    "soc_initial_pct", "speed_mean", "speed_std", "accel_mean", "accel_std",
-    "temp_mean", "sunload_mean", "soc_mean",
+    "soc_initial_pct", *DRIVE_SIGNALS,
 ]
+
+# Keys of the previous drive's signals, made once so that every daily
+# example's features share these strings rather than hold copies.
+_PREV_SIGNAL_KEYS = tuple(f"prev_{s}" for s in DRIVE_SIGNALS)
+_drive_signals = attrgetter(*DRIVE_SIGNALS)
 
 # Raw feature keys a daily example can carry, in canonical column order.
 RAW_FEATURE_KEYS = (
@@ -36,8 +41,7 @@ RAW_FEATURE_KEYS = (
     "prev_start_hour", "prev_start_minute", "prev_start_part_of_day",
     "prev_end_hours", "prev_distance_km",
     "charge_start_hours", "charge_soc_initial",
-    "prev_speed_mean", "prev_speed_std", "prev_accel_mean", "prev_accel_std",
-    "prev_temp_mean", "prev_sunload_mean", "prev_soc_mean",
+    *_PREV_SIGNAL_KEYS,
 )
 
 NAN = float("nan")
@@ -150,21 +154,19 @@ def _pooled_std(parts: list[tuple[float, float, float]]) -> float:
 
 def _merge_pair(a: TripSession, a_weight: float, b: TripSession) -> TripSession:
     wa, wb = a_weight, b.duration_s
-    return TripSession(
-        vehicle_id=a.vehicle_id,
-        start=a.start,
-        end=b.end,
-        distance_km=a.distance_km + b.distance_km,
-        speed_mean=_weighted_mean([(wa, a.speed_mean), (wb, b.speed_mean)]),
-        speed_std=_pooled_std([(wa, a.speed_mean, a.speed_std),
-                               (wb, b.speed_mean, b.speed_std)]),
-        accel_mean=_weighted_mean([(wa, a.accel_mean), (wb, b.accel_mean)]),
-        accel_std=_pooled_std([(wa, a.accel_mean, a.accel_std),
-                               (wb, b.accel_mean, b.accel_std)]),
-        temp_mean=_weighted_mean([(wa, a.temp_mean), (wb, b.temp_mean)]),
-        sunload_mean=_weighted_mean([(wa, a.sunload_mean), (wb, b.sunload_mean)]),
-        soc_mean=_weighted_mean([(wa, a.soc_mean), (wb, b.soc_mean)]),
-    )
+    pooled = {}
+    for name in DRIVE_SIGNALS:
+        if name.endswith("_std"):
+            # a std is pooled with the mean of the same signal
+            mean = name.removesuffix("_std") + "_mean"
+            pooled[name] = _pooled_std(
+                [(wa, getattr(a, mean), getattr(a, name)),
+                 (wb, getattr(b, mean), getattr(b, name))])
+        else:
+            pooled[name] = _weighted_mean(
+                [(wa, getattr(a, name)), (wb, getattr(b, name))])
+    return TripSession(a.vehicle_id, a.start, b.end,
+                       a.distance_km + b.distance_km, **pooled)
 
 
 def merge_adjacent_sessions(trips: list[TripSession],
@@ -291,14 +293,8 @@ def build_daily_examples(history: VehicleHistory) -> list[DailyExample]:
                 "prev_start_part_of_day": part_of_day(_hours(last_trip.start)),
                 "prev_end_hours": _hours(last_trip.end),
                 "prev_distance_km": last_trip.distance_km,
-                "prev_speed_mean": last_trip.speed_mean,
-                "prev_speed_std": last_trip.speed_std,
-                "prev_accel_mean": last_trip.accel_mean,
-                "prev_accel_std": last_trip.accel_std,
-                "prev_temp_mean": last_trip.temp_mean,
-                "prev_sunload_mean": last_trip.sunload_mean,
-                "prev_soc_mean": last_trip.soc_mean,
             })
+            feats.update(zip(_PREV_SIGNAL_KEYS, _drive_signals(last_trip)))
         if last_charge is not None:
             if last_charge.end > first.start:
                 raise DataError(
@@ -374,14 +370,7 @@ def read_sessions_csv(path) -> dict[str, VehicleHistory]:
                         vid, start, end,
                         distance_km=_parse_float(rec["distance_km"], i,
                                                  "distance_km"),
-                        speed_mean=_parse_float(rec["speed_mean"], i, "speed_mean"),
-                        speed_std=_parse_float(rec["speed_std"], i, "speed_std"),
-                        accel_mean=_parse_float(rec["accel_mean"], i, "accel_mean"),
-                        accel_std=_parse_float(rec["accel_std"], i, "accel_std"),
-                        temp_mean=_parse_float(rec["temp_mean"], i, "temp_mean"),
-                        sunload_mean=_parse_float(rec["sunload_mean"], i,
-                                                  "sunload_mean"),
-                        soc_mean=_parse_float(rec["soc_mean"], i, "soc_mean"),
+                        **{s: _parse_float(rec[s], i, s) for s in DRIVE_SIGNALS},
                     ))
                 elif kind == "charge":
                     hist.charges.append(ChargeSession(
@@ -406,20 +395,10 @@ def write_sessions_csv(path, histories: dict[str, VehicleHistory]) -> None:
                     + [("charge", c) for c in h.charges])
             rows.sort(key=lambda kt: kt[1].start)
             for kind, s in rows:
-                if kind == "drive":
-                    w.writerow([
-                        vid, kind, s.start.isoformat(), s.end.isoformat(),
-                        _fmt(s.distance_km), "",
-                        _fmt(s.speed_mean), _fmt(s.speed_std),
-                        _fmt(s.accel_mean), _fmt(s.accel_std),
-                        _fmt(s.temp_mean), _fmt(s.sunload_mean),
-                        _fmt(s.soc_mean),
-                    ])
-                else:
-                    w.writerow([
-                        vid, kind, s.start.isoformat(), s.end.isoformat(),
-                        "", _fmt(s.soc_initial_pct), "", "", "", "", "", "", "",
-                    ])
+                # a drive has no initial SoC, a charge only that
+                w.writerow([vid, kind, s.start.isoformat(), s.end.isoformat()]
+                           + [_fmt(getattr(s, col, None))
+                              for col in SESSION_COLUMNS[4:]])
 
 
 EXAMPLE_COLUMNS = (["vehicle_id", "date"] + list(RAW_FEATURE_KEYS)

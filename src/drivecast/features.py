@@ -42,6 +42,11 @@ PART_OF_DAY_BINS = (
 )
 PART_OF_DAY_CATEGORIES = ("morning", "noon", "afternoon", "evening", "night")
 
+# Signals a drive session summarizes, each as a mean or a std over the
+# drive; a daily example carries the previous drive's as ``prev_<signal>``.
+DRIVE_SIGNALS = ("speed_mean", "speed_std", "accel_mean", "accel_std",
+                 "temp_mean", "sunload_mean", "soc_mean")
+
 
 def part_of_day(hour: float) -> str:
     if not 0.0 <= hour < 24.0:
@@ -203,13 +208,7 @@ def default_schema() -> FeatureSchema:
         n("charge_start_hours", "numeric", "charge_start_hours"),
         n("charge_start_hours_cyc", "cyclic", "charge_start_hours", period=24.0),
         n("charge_soc_initial", "numeric", "charge_soc_initial"),
-        n("prev_speed_mean", "numeric", "prev_speed_mean"),
-        n("prev_speed_std", "numeric", "prev_speed_std"),
-        n("prev_accel_mean", "numeric", "prev_accel_mean"),
-        n("prev_accel_std", "numeric", "prev_accel_std"),
-        n("prev_temp_mean", "numeric", "prev_temp_mean"),
-        n("prev_sunload_mean", "numeric", "prev_sunload_mean"),
-        n("prev_soc_mean", "numeric", "prev_soc_mean"),
+        *[n(f"prev_{s}", "numeric", f"prev_{s}") for s in DRIVE_SIGNALS],
         n("target_hist_avg", "numeric", "target_hist_avg"),
         n("target_run_avg", "numeric", "target_run_avg"),
     ])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
-from .streaming import AdwinWindow, KllSketch, update_pairs
+from .streaming import AdwinWindow, KllSketch, update_many
 
 
 def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
@@ -303,12 +303,13 @@ class AdaptiveForest:
         # every window is fed first and all are scanned together
         routes = [tree._descend(x) for tree in self.trees]
         if self.disable_drift:
-            flags = [(False, False)] * self.n_trees
+            warns = drifts = [False] * self.n_trees
         else:
-            flags = update_pairs(self._warn, self._drift,
-                                 [abs(y - tree._value(route[0]))
-                                  for tree, route in zip(self.trees, routes)])
-        for i, (warned, drifted) in enumerate(flags):
+            errs = [abs(y - tree._value(route[0]))
+                    for tree, route in zip(self.trees, routes)]
+            flags = update_many(self._warn + self._drift, errs + errs)
+            warns, drifts = flags[:self.n_trees], flags[self.n_trees:]
+        for i, (warned, drifted) in enumerate(zip(warns, drifts)):
             if drifted:
                 replacement = self.background[i]
                 self.trees[i] = (replacement if replacement is not None

@@ -311,8 +311,7 @@ class AdwinWindow:
         """Insert one value; returns True when a distribution shift was cut.
 
         ``scan=False`` leaves the search for a cut to the caller, who runs
-        it for many windows at once (see ``update_pairs``) or skips it when
-        it knows the search would find none (see ``update_pair``)."""
+        it for many windows at once (see ``update_many``)."""
         v = float(v)
         self._append_new(v)
         self.total += 1.0
@@ -336,15 +335,13 @@ class AdwinWindow:
         }
 
 
-def _cut_windows(windows, partners=None) -> set:
+def _cut_windows(windows) -> set:
     """Cut every window until no cut is left; returns the windows cut.
 
     Each window drops its oldest bucket while its cut scan finds a cut, as
     ``update`` does after an insert.  One ``_kernels.adwin_cut`` call per
     round scans every window still cutting, and a window's count of drifts
-    goes up once if it was cut.  ``partners`` maps a window to another
-    that starts scanning in the round after the first one is first cut."""
-    partners = partners or {}
+    goes up once if it was cut."""
     cut = set()
     scanning = [w for w in windows if w._rows >= 2]
     while scanning:
@@ -359,11 +356,7 @@ def _cut_windows(windows, partners=None) -> set:
             if at < 0:
                 continue
             w._drop_oldest()
-            if w not in cut:
-                cut.add(w)
-                partner = partners.get(w)
-                if partner is not None and partner._rows >= 2:
-                    still.append(partner)
+            cut.add(w)
             if w._rows >= 2:
                 still.append(w)
         scanning = still
@@ -384,44 +377,10 @@ def _stack(windows) -> np.ndarray:
     return out
 
 
-def _share_buckets(warn: AdwinWindow, drift: AdwinWindow) -> bool:
-    """Whether ``drift`` holds the same buckets as ``warn`` and would find
-    no cut where ``warn`` finds none.
-
-    For a warning and a drift window made together and fed the same
-    values since, that holds until the warning window first cuts (given
-    the same ``max_buckets``).  With ``warn.delta >= drift.delta`` the
-    drift bound is then no smaller than the warning bound at every cut
-    point, in floating point too (every step from delta to bound is
-    monotone)."""
-    return (warn.n_drifts == 0 and warn.delta >= drift.delta
-            and warn.max_buckets == drift.max_buckets)
-
-
-def update_pair(warn: AdwinWindow, drift: AdwinWindow,
-                v: float) -> tuple[bool, bool]:
-    """``(warn.update(v), drift.update(v))`` for a warning window and a
-    drift window made together and fed the same values since; the drift
-    window skips its cut search while it shares the warning window's
-    buckets."""
-    warned = warn.update(v)
-    return warned, drift.update(v, scan=not _share_buckets(warn, drift))
-
-
-def update_pairs(warns, drifts, values) -> list[tuple[bool, bool]]:
-    """``[update_pair(w, d, v) for w, d, v in zip(warns, drifts, values)]``
-    with the cut scans of every window in one kernel call per round.
-
-    A drift window that shares its warning window's buckets joins the
-    scan only once its warning window cuts, as ``update_pair`` has it."""
-    for warn, drift, v in zip(warns, drifts, values):
-        warn.update(v, scan=False)
-        drift.update(v, scan=False)
-    scan, partners = list(warns), {}
-    for warn, drift in zip(warns, drifts):
-        if _share_buckets(warn, drift):
-            partners[warn] = drift
-        else:
-            scan.append(drift)
-    cut = _cut_windows(scan, partners)
-    return [(warn in cut, drift in cut) for warn, drift in zip(warns, drifts)]
+def update_many(windows, values) -> list[bool]:
+    """``[w.update(v) for w, v in zip(windows, values)]`` with the cut
+    scans of every window in one kernel call per round."""
+    for w, v in zip(windows, values):
+        w.update(v, scan=False)
+    cut = _cut_windows(windows)
+    return [w in cut for w in windows]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drivecast import forest as forest_module
 from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
 from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
@@ -198,44 +199,43 @@ class TestAdaptiveForest:
         assert sk.n > 0
         assert sk.quantile(0.5) == pytest.approx(1.5, abs=1.0)
 
-    def test_shared_drift_window_scans_once_its_partner_cuts(self,
-                                                             monkeypatch):
-        """A drift window holding its warning window's buckets is left out
-        of the batched scan until the warning window first cuts, and
-        scanned in that same step; the others scan in every step."""
-        rounds = []
-        stack = streaming._stack
+    def test_every_window_joins_the_first_scan_round(self, monkeypatch):
+        """Each ``learn_one`` feeds every tree's two windows through one
+        ``update_many`` call, whose first stacked round scans every window
+        that holds at least 2 buckets."""
+        feeds, firsts = [], []
+        stack, update_many = streaming._stack, forest_module.update_many
 
-        def recorded(windows):
-            rounds.append(list(windows))
+        def recorded_update_many(windows, values):
+            feeds.append(windows)
+            return update_many(windows, values)
+
+        def recorded_stack(windows):
+            if len(firsts) < len(feeds):
+                # nothing is cut before the first round: every window
+                # still holds all the buckets it was fed
+                firsts.append(([id(w) for w in windows],
+                               [id(w) for w in feeds[-1] if w._rows >= 2]))
             return stack(windows)
 
-        monkeypatch.setattr(streaming, "_stack", recorded)
+        monkeypatch.setattr(forest_module, "update_many", recorded_update_many)
+        monkeypatch.setattr(streaming, "_stack", recorded_stack)
         rng = np.random.default_rng(8)
         xs, ys = threshold_stream(rng, 1500)
         ys[700:] += 6.0
         forest = AdaptiveForest(3, n_trees=4, seed=3)
-        seen = {"skipped": 0, "joined": 0, "alone": 0}
+        scanned_steps = 0
         for x, y in zip(xs, ys):
-            pairs = list(zip(forest._warn, forest._drift))
-            shared = [w.n_drifts == 0 for w, _ in pairs]
-            rounds.clear()
+            windows = forest._warn + forest._drift
+            feeds.clear()
+            firsts.clear()
             forest.learn_one(x, y)
-            scanned = [{id(w) for w in r} for r in rounds]
-            for (warn, drift), was_shared in zip(pairs, shared):
-                in_round = [id(drift) in r for r in scanned]
-                if not was_shared:
-                    assert drift._rows < 2 or in_round[:1] == [True]
-                    seen["alone"] += 1
-                elif warn.n_drifts == 0:
-                    assert not any(in_round)
-                    seen["skipped"] += 1
-                else:
-                    # joins in the round after the warning window's cut
-                    first = in_round.index(True)
-                    assert first >= 1 and id(warn) in scanned[first - 1]
-                    seen["joined"] += 1
-        assert min(seen.values()) > 0, seen
+            assert [list(map(id, f)) for f in feeds] == [list(map(id, windows))]
+            for scanned, fed in firsts:
+                assert scanned == fed
+            scanned_steps += bool(firsts)
+        assert scanned_steps > 1400
+        assert forest.n_replacements > 0 and forest.n_warnings > 0
 
     def test_golden_intervals_and_counters(self):
         """Every interval and counter of a seeded run with a regime flip,
