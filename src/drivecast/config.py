@@ -12,7 +12,7 @@ import copy
 import hashlib
 import json
 
-from .evaluation import TARGETS
+from .evaluation import DEFAULT_WARMUP, DEFAULT_WITHIN_TOL, TARGETS
 from .exceptions import ConfigError
 from .models import MODEL_KINDS, make_model
 
@@ -44,9 +44,9 @@ DEFAULT_CONFIG: dict = {
     "evaluate": {
         "models": list(MODEL_KINDS),
         "targets": list(TARGETS),
-        "warmup": 20,
+        "warmup": DEFAULT_WARMUP,
         "confidence": 0.90,
-        "within_tol": {"departure": 1.0, "distance": 5.0},
+        "within_tol": dict(DEFAULT_WITHIN_TOL),
         "curve_stride": 10,
     },
 }

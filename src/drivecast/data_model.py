@@ -3,7 +3,9 @@
 Raw input is a stream of drive and charge sessions per vehicle.  Cleanup
 drops noise sessions shorter than 50 seconds, merges drives separated by
 less than 15 minutes (a short stop, not a new trip), and discards
-vehicles with fewer than 50 drives of history.  From the cleaned stream,
+vehicles with fewer than 50 drives of history.  The three thresholds
+are fixed: ``MIN_SESSION_SECONDS``, ``MERGE_GAP_SECONDS`` and
+``MIN_DRIVES_PER_VEHICLE``.  From the cleaned stream,
 one example per active day is built: the targets are the departure time
 (decimal hours after midnight) and distance of the day's first drive,
 and the features describe the previous drive, the most recent charge,
@@ -126,10 +128,8 @@ class DailyExample:
 # -- cleanup ------------------------------------------------------------
 
 
-def filter_short_sessions(trips: list[TripSession],
-                          min_duration_s: float = MIN_SESSION_SECONDS
-                          ) -> list[TripSession]:
-    return [t for t in trips if t.duration_s >= min_duration_s]
+def filter_short_sessions(trips: list[TripSession]) -> list[TripSession]:
+    return [t for t in trips if t.duration_s >= MIN_SESSION_SECONDS]
 
 
 def _weighted_mean(parts: list[tuple[float, float]]) -> float:
@@ -169,10 +169,9 @@ def _merge_pair(a: TripSession, a_weight: float, b: TripSession) -> TripSession:
                        a.distance_km + b.distance_km, **pooled)
 
 
-def merge_adjacent_sessions(trips: list[TripSession],
-                            max_gap_s: float = MERGE_GAP_SECONDS
-                            ) -> list[TripSession]:
-    """Fold drives separated by less than ``max_gap_s`` into one drive.
+def merge_adjacent_sessions(trips: list[TripSession]) -> list[TripSession]:
+    """Fold drives separated by less than ``MERGE_GAP_SECONDS`` into one
+    drive.
 
     Signal means and stds of merged drives are pooled weighted by the
     measured driving seconds of each part, so stop time between parts
@@ -190,7 +189,7 @@ def merge_adjacent_sessions(trips: list[TripSession],
             raise DataError(
                 f"overlapping trips for {t.vehicle_id}: one ends {pend.end}, "
                 f"next starts {t.start}")
-        if gap < max_gap_s:
+        if gap < MERGE_GAP_SECONDS:
             pend = _merge_pair(pend, pend_weight, t)
             pend_weight += t.duration_s
         else:
@@ -201,37 +200,29 @@ def merge_adjacent_sessions(trips: list[TripSession],
     return out
 
 
-def preprocess_history(history: VehicleHistory,
-                       min_duration_s: float = MIN_SESSION_SECONDS,
-                       max_gap_s: float = MERGE_GAP_SECONDS) -> VehicleHistory:
-    trips = filter_short_sessions(history.trips, min_duration_s)
-    trips = merge_adjacent_sessions(trips, max_gap_s)
+def preprocess_history(history: VehicleHistory) -> VehicleHistory:
+    trips = merge_adjacent_sessions(filter_short_sessions(history.trips))
     charges = sorted(history.charges, key=lambda c: c.start)
     return VehicleHistory(history.vehicle_id, trips, charges)
 
 
-def filter_sparse_vehicles(histories: list[VehicleHistory],
-                           min_drives: int = MIN_DRIVES_PER_VEHICLE
+def filter_sparse_vehicles(histories: list[VehicleHistory]
                            ) -> list[VehicleHistory]:
     """Keep vehicles with enough drives to learn from.  Only drives count
     toward the threshold; charge sessions do not."""
-    return [h for h in histories if len(h.trips) >= min_drives]
+    return [h for h in histories if len(h.trips) >= MIN_DRIVES_PER_VEHICLE]
 
 
-def preprocess_fleet(histories: dict[str, VehicleHistory],
-                     min_duration_s: float = MIN_SESSION_SECONDS,
-                     max_gap_s: float = MERGE_GAP_SECONDS,
-                     min_drives: int = MIN_DRIVES_PER_VEHICLE
+def preprocess_fleet(histories: dict[str, VehicleHistory]
                      ) -> tuple[dict[str, VehicleHistory], list[str]]:
     """Clean every vehicle and drop the sparse ones.
 
     Returns the kept histories keyed by vehicle id plus the ids that were
     dropped for having too little history.
     """
-    cleaned = {vid: preprocess_history(h, min_duration_s, max_gap_s)
-               for vid, h in histories.items()}
+    cleaned = {vid: preprocess_history(h) for vid, h in histories.items()}
     kept = {h.vehicle_id: h
-            for h in filter_sparse_vehicles(list(cleaned.values()), min_drives)}
+            for h in filter_sparse_vehicles(list(cleaned.values()))}
     dropped = [vid for vid in cleaned if vid not in kept]
     return kept, dropped
 

@@ -21,7 +21,7 @@ import numpy as np
 from .data_model import DailyExample
 from .exceptions import DataError, InsufficientHistoryError
 from .features import FeaturePipeline, FeatureSchema, RunningStats
-from .models import MODEL_KINDS, OnlineModel, make_model
+from .models import MODEL_KINDS, OnlineModel, PredictionInterval, make_model
 
 TARGETS = ("departure", "distance")
 DEFAULT_WARMUP = 20
@@ -31,7 +31,7 @@ DEFAULT_WARMUP = 20
 DEFAULT_WITHIN_TOL = {"departure": 1.0, "distance": 5.0}
 
 
-@dataclass
+@dataclass(slots=True)
 class DayRecord:
     vehicle_id: str
     day: date
@@ -77,16 +77,15 @@ def progressive_validate(model: OnlineModel, pipeline: FeaturePipeline,
         x = pipeline.transform(ex.features)
         try:
             pi = model.predict_interval(x)
-            point, lower, upper, sigma = pi.point, pi.lower, pi.upper, pi.sigma
             abstained = False
         except InsufficientHistoryError:
-            point, sigma = fallback.mean, fallback.std
-            lower, upper = point - model.z * sigma, point + model.z * sigma
+            pi = PredictionInterval.gaussian(fallback.mean, fallback.std,
+                                             model.z)
             abstained = True
         records.append(DayRecord(
-            vehicle_id=ex.vehicle_id, day=ex.day, y=y, point=point,
-            lower=lower, upper=upper, sigma=sigma, abstained=abstained,
-            warmup=i < warmup))
+            vehicle_id=ex.vehicle_id, day=ex.day, y=y, point=pi.point,
+            lower=pi.lower, upper=pi.upper, sigma=pi.sigma,
+            abstained=abstained, warmup=i < warmup))
         model.learn_one(x, y)
         pipeline.update_target(y)
         fallback.update(y)

@@ -348,6 +348,3 @@ class AdaptiveForest:
         tree."""
         leaves = self._leaves(self._check(x))
         return self._mean(leaves), self._union(leaves)
-
-    def quantile(self, x, q: float) -> float:
-        return self.merged_sketch(x).quantile(q)

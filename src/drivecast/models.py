@@ -1,9 +1,11 @@
 """Online predictors with calibrated prediction intervals.
 
-Five model families share one contract: ``predict_interval(x)`` returns a
-point estimate with a central interval at the configured confidence
-before the truth is known, then ``learn_one(x, y)`` folds the truth in.
-All state updates are constant-time and constant-memory per observation.
+Five model families share one two-call contract.  Each morning
+``predict_interval(x)`` returns a ``PredictionInterval(point, lower,
+upper, sigma)``: a point estimate with a central interval at the
+configured confidence, made before the truth is known.  Once the day is
+over, ``learn_one(x, y)`` folds the truth in.  All state updates are
+constant-time and constant-memory per observation.
 
 * ``mean``: running mean and std of the target, features ignored.  The
   floor every other model must beat.
@@ -77,6 +79,13 @@ class PredictionInterval:
     def contains(self, y: float) -> bool:
         return self.lower <= y <= self.upper
 
+    @classmethod
+    def gaussian(cls, point: float, sigma: float,
+                 z: float) -> "PredictionInterval":
+        """``point +- z * sigma``: the central interval of a Gaussian
+        predictive distribution."""
+        return cls(point, point - z * sigma, point + z * sigma, sigma)
+
 
 class _TargetScaler(RunningStats):
     """Running standardization of the target.  ``transform`` always uses
@@ -100,7 +109,9 @@ class _TargetScaler(RunningStats):
 
 
 class OnlineModel:
-    """Shared contract; subclasses fill in the four core methods."""
+    """Shared contract: ``predict_interval`` answers before the truth is
+    known, raising InsufficientHistoryError while the model has too little
+    history to answer; ``learn_one`` then folds the truth in."""
 
     kind = "base"
 
@@ -123,9 +134,6 @@ class OnlineModel:
             raise ValueError("features must be finite")
         return x
 
-    def predict_one(self, x) -> float:
-        raise NotImplementedError
-
     def predict_interval(self, x) -> PredictionInterval:
         raise NotImplementedError
 
@@ -143,17 +151,12 @@ class MeanBaseline(OnlineModel):
         super().__init__(n_features, seed, confidence)
         self._stats = RunningStats()
 
-    def predict_one(self, x) -> float:
-        self._check(x)
-        return self._stats.mean
-
     def predict_interval(self, x) -> PredictionInterval:
-        point = self.predict_one(x)
+        self._check(x)
         if self._stats.count < 2:
             raise InsufficientHistoryError("need two observations for a spread")
-        sigma = self._stats.std
-        return PredictionInterval(point, point - self.z * sigma,
-                                  point + self.z * sigma, sigma)
+        return PredictionInterval.gaussian(self._stats.mean, self._stats.std,
+                                           self.z)
 
     def learn_one(self, x, y: float) -> None:
         self._check(x)
@@ -204,10 +207,6 @@ class QuantileRegressor(OnlineModel):
 
     def _heads(self, x: np.ndarray) -> np.ndarray:
         return self.thetas @ self._augment(x)
-
-    def predict_one(self, x) -> float:
-        x = self._check(x)
-        return self._scaler.inverse(float(self._heads(x)[1]))
 
     def predict_interval(self, x) -> PredictionInterval:
         x = self._check(x)
@@ -270,12 +269,6 @@ class QuantileKnn(OnlineModel):
         kk = min(self.k, self.size)
         return self._ys[: self.size][order[:kk]]
 
-    def predict_one(self, x) -> float:
-        x = self._check(x)
-        if self.size == 0:
-            raise InsufficientHistoryError("window is empty")
-        return float(self._neighbors(x).mean())
-
     def predict_interval(self, x) -> PredictionInterval:
         x = self._check(x)
         if self.size < self.min_neighbors:
@@ -303,7 +296,7 @@ class QuantileKnn(OnlineModel):
         x = self._check(x)
         y = float(y)
         if self.size > 0:
-            self._residuals.update(y - self.predict_one(x))
+            self._residuals.update(y - float(self._neighbors(x).mean()))
         i = self._next
         self._xs[i] = x
         self._ys[i] = y
@@ -336,9 +329,6 @@ class QuantileForest(OnlineModel):
             tie_tau=tie_tau, n_bins=n_bins, max_depth=max_depth,
             subspace=subspace, sketch_k=sketch_k, warn_delta=warn_delta,
             drift_delta=drift_delta, disable_drift=disable_drift)
-
-    def predict_one(self, x) -> float:
-        return self.forest.predict_one(self._check(x))
 
     def predict_interval(self, x) -> PredictionInterval:
         point, sketch = self.forest.predict_sketch(self._check(x))
@@ -436,13 +426,6 @@ class McDropoutNet(OnlineModel):
         return [(rng.random(h) >= self.dropout).astype(float)
                 for h in self.hidden]
 
-    def predict_one(self, x) -> float:
-        x = self._check(x)
-        if self.n_seen == 0:
-            raise InsufficientHistoryError("net has not seen any target")
-        out, _ = self._forward(x, masks=None)
-        return self._scaler.inverse(out)
-
     def predict_interval(self, x) -> PredictionInterval:
         x = self._check(x)
         if self.n_seen == 0:
@@ -457,8 +440,7 @@ class McDropoutNet(OnlineModel):
         var_noise = (sum(self._sq_residuals) / len(self._sq_residuals)
                      if self._sq_residuals else 0.0)
         sigma = self._scaler.inverse_spread(math.sqrt(var_model + var_noise))
-        return PredictionInterval(point, point - self.z * sigma,
-                                  point + self.z * sigma, sigma)
+        return PredictionInterval.gaussian(point, sigma, self.z)
 
     def learn_one(self, x, y: float) -> None:
         x = self._check(x)

@@ -21,12 +21,15 @@ import math
 import numpy as np
 
 from .data_model import DailyExample
-from .evaluation import evaluate_fleet, target_of
+from .evaluation import DEFAULT_WARMUP, evaluate_fleet, target_of
 from .exceptions import ConfigError, DivergenceError
 from .features import FeaturePipeline, FeatureSchema
 
 VIF_THRESHOLD = 10.0
 PEARSON_THRESHOLD = 0.02
+# Share of each vehicle's most recent days the forward-selection scorer
+# holds out.
+LS_HOLDOUT_FRACTION = 0.2
 
 
 def _vid_seed(seed: int, vehicle_id: str, salt: int = 0) -> int:
@@ -38,12 +41,12 @@ def _vid_seed(seed: int, vehicle_id: str, salt: int = 0) -> int:
 # -- clusterability -----------------------------------------------------
 
 
-def hopkins_statistic(points: np.ndarray, seed: int = 0,
-                      m: int | None = None) -> float:
+def hopkins_statistic(points: np.ndarray, seed: int = 0) -> float:
     """Clusterability of a point set in [0, 1]; 0.5 means uniform noise.
 
-    Min-max scales each dimension, samples ``m`` real points and ``m``
-    uniform points, and compares nearest-neighbor distances: H is the
+    Min-max scales each dimension, samples m real points and m uniform
+    points (m is a tenth of the points, at least 1 and at most 100, and
+    below their count), and compares nearest-neighbor distances: H is the
     uniform-point share of the total, approaching 1 when the real data
     clumps much tighter than noise would.
     """
@@ -57,9 +60,7 @@ def hopkins_statistic(points: np.ndarray, seed: int = 0,
     scaled[:, live] = (pts[:, live] - lo[live]) / span[live]
 
     n = len(scaled)
-    if m is None:
-        m = int(min(max(0.1 * n, 1), 100))
-    m = min(m, n - 1)
+    m = min(int(min(max(0.1 * n, 1), 100)), n - 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     sample_ix = rng.choice(n, size=m, replace=False)
     synth = rng.uniform(size=(m, pts.shape[1]))
@@ -188,7 +189,7 @@ def pearson_screen(examples_by_vehicle: dict[str, list[DailyExample]],
 
 
 def _pooled_ls_mae(xs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
-                   cols: np.ndarray, holdout_fraction: float = 0.2) -> float:
+                   cols: np.ndarray) -> float:
     """Temporal-holdout MAE of per-vehicle least-squares fits.
 
     Each vehicle's stream is fit on its earliest days and scored on the
@@ -199,7 +200,7 @@ def _pooled_ls_mae(xs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
     for x, y in xs_by_vehicle.values():
         sub = _standardize_columns(x[:, cols])
         a = np.hstack([sub, np.ones((len(sub), 1))])
-        cut = len(y) - int(holdout_fraction * len(y))
+        cut = len(y) - int(LS_HOLDOUT_FRACTION * len(y))
         if cut < 2 or cut >= len(y):
             cut = max(len(y) - 1, 1)
         theta, *_ = np.linalg.lstsq(a[:cut], y[:cut], rcond=None)
@@ -210,7 +211,6 @@ def _pooled_ls_mae(xs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
 
 def forward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
                 schema: FeatureSchema, target: str,
-                max_features: int | None = None,
                 min_gain: float = 0.01) -> dict:
     """Greedy forward selection of descriptors against a least-squares
     scorer.  One-hot and sine/cosine groups move as a unit.  A step is
@@ -223,8 +223,7 @@ def forward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
     remaining = list(schema.names)
     best_score = math.inf
     history = []
-    limit = max_features or len(remaining)
-    while remaining and len(chosen) < limit:
+    while remaining:
         step_best = None
         step_score = best_score
         for name in remaining:  # schema order, so ties keep earlier names
@@ -309,7 +308,7 @@ def vif_prune(examples_by_vehicle: dict[str, list[DailyExample]],
 def backward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
                  schema: FeatureSchema, target: str, kind: str,
                  run_seed: int = 0, hyper: dict | None = None,
-                 warmup: int = 20) -> dict:
+                 warmup: int = DEFAULT_WARMUP) -> dict:
     """Drop descriptors one at a time while the progressive-validation
     MAE strictly improves.  Expensive; meant for a small tuning cohort."""
 
@@ -347,7 +346,7 @@ def combine_screens(schema: FeatureSchema, weak_pearson: list[str],
 def grid_search(examples_by_vehicle: dict[str, list[DailyExample]],
                 schema: FeatureSchema, target: str, kind: str,
                 grid: dict[str, list], run_seed: int = 0,
-                warmup: int = 20) -> dict:
+                warmup: int = DEFAULT_WARMUP) -> dict:
     """Exhaustive search over the cartesian product of ``grid``.
 
     Combinations are scored by pooled progressive-validation MAE; ties

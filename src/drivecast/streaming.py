@@ -19,6 +19,13 @@ import numpy as np
 from . import _kernels
 from .exceptions import InsufficientHistoryError
 
+# Geometric decay of KLL compactor capacities: a level h steps below the
+# top holds about k * _C**h items.
+_C = 2.0 / 3.0
+# Most ADWIN buckets kept per level of the exponential histogram.
+_MAX_BUCKETS = 5
+
+
 class KllSketch:
     """Mergeable streaming quantile sketch.
 
@@ -27,20 +34,15 @@ class KllSketch:
     k : int
         Accuracy parameter (>= 8).  Memory grows like O(k); rank error of
         quantile queries shrinks like O(1/k).
-    c : float
-        Geometric decay of compactor capacities, in (0.5, 1.0].
     seed : int
         Seed for the compaction coin flips.  Sketches built from the same
         stream with the same seed are identical.
     """
 
-    def __init__(self, k: int = 200, c: float = 2.0 / 3.0, seed: int = 0):
+    def __init__(self, k: int = 200, seed: int = 0):
         if not isinstance(k, (int, np.integer)) or k < 8:
             raise ValueError("k must be an integer >= 8")
-        if not 0.5 < c <= 1.0:
-            raise ValueError("c must be in (0.5, 1.0]")
         self.k = int(k)
-        self.c = float(c)
         self.seed = int(seed)
         self.n = 0
         self._levels: list[list[float]] = [[]]
@@ -57,7 +59,7 @@ class KllSketch:
         A level's capacity depends only on its distance from the top, so
         the capacities change only when a level is added."""
         height = len(self._levels)
-        self._caps = [int(math.ceil(self.c ** (height - h - 1) * self.k)) + 1
+        self._caps = [int(math.ceil(_C ** (height - h - 1) * self.k)) + 1
                       for h in range(height)]
         self._max = sum(self._caps)
 
@@ -124,8 +126,8 @@ class KllSketch:
     def _absorb(self, other: "KllSketch") -> None:
         """Fold ``other`` into this sketch, as ``merge`` does into a fresh
         one: same combined seed, same level order, same compactions."""
-        if self.k != other.k or self.c != other.c:
-            raise ValueError("cannot merge sketches with different parameters")
+        if self.k != other.k:
+            raise ValueError("cannot merge sketches with different k")
         self.seed = (self.seed ^ other.seed ^ 0x9E3779B9) & 0x7FFFFFFF
         self._rng = None
         height = len(self._levels)
@@ -148,7 +150,7 @@ class KllSketch:
         one sketch instead of one per merge.  Inputs are not modified."""
         it = iter(sketches)
         first = next(it)
-        out = KllSketch(first.k, first.c, first.seed)
+        out = KllSketch(first.k, first.seed)
         out._levels = [list(lvl) for lvl in first._levels]
         out.n, out._size = first.n, first._size
         out._size_caps()
@@ -220,17 +222,16 @@ class AdwinWindow:
     """Adaptive window over a value stream with drift detection.
 
     Keeps an exponential histogram: buckets of size 2^level, at most
-    ``max_buckets`` per level, ordered oldest to newest.  After each
+    ``_MAX_BUCKETS`` per level, ordered oldest to newest.  After each
     update the window is cut wherever two adjacent sub-windows have mean
     difference above a variance-aware Hoeffding-style bound at confidence
     ``delta``; the older part is dropped and the update reports drift.
     """
 
-    def __init__(self, delta: float = 0.002, max_buckets: int = 5):
+    def __init__(self, delta: float = 0.002):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         self.delta = float(delta)
-        self.max_buckets = int(max_buckets)
         self._cap = 64
         self._counts = np.zeros(self._cap)
         self._sums = np.zeros(self._cap)
@@ -239,7 +240,6 @@ class AdwinWindow:
         self._level_counts: list[int] = []
         self.total = 0.0
         self.total_sum = 0.0
-        self.total_sumsq = 0.0
         self.n_drifts = 0
 
     @property
@@ -275,11 +275,11 @@ class AdwinWindow:
         self._level_counts[0] += 1
 
     def _compress(self) -> None:
-        # every level held at most max_buckets before the new bucket came
+        # every level held at most _MAX_BUCKETS before the new bucket came
         # in at level 0, and a merge adds one bucket to the next level
         # only: the first level within bounds ends the cascade
         level = 0
-        while self._level_counts[level] > self.max_buckets:
+        while self._level_counts[level] > _MAX_BUCKETS:
             p = self._level_start(level)
             # merge the two oldest buckets of this level into one of
             # the next level; totals are unchanged
@@ -298,7 +298,6 @@ class AdwinWindow:
     def _drop_oldest(self) -> None:
         self.total -= self._counts[0]
         self.total_sum -= self._sums[0]
-        self.total_sumsq -= self._sumsqs[0]
         for arr in (self._counts, self._sums, self._sumsqs):
             arr[: self._rows - 1] = arr[1: self._rows]
         self._rows -= 1
@@ -316,7 +315,6 @@ class AdwinWindow:
         self._append_new(v)
         self.total += 1.0
         self.total_sum += v
-        self.total_sumsq += v * v
         self._compress()
         return scan and bool(_cut_windows([self]))
 
@@ -326,7 +324,6 @@ class AdwinWindow:
         """Plain-data snapshot of the buckets, oldest first."""
         return {
             "delta": self.delta,
-            "max_buckets": self.max_buckets,
             "counts": self._counts[: self._rows].tolist(),
             "sums": self._sums[: self._rows].tolist(),
             "sumsqs": self._sumsqs[: self._rows].tolist(),

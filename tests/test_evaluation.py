@@ -1,14 +1,20 @@
 """Tests for the predict-then-learn evaluation loop and its metrics."""
 
 import csv
+import hashlib
 import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from drivecast.data_model import DailyExample
+from drivecast.data_model import (
+    DailyExample,
+    build_daily_examples,
+    preprocess_fleet,
+)
 from drivecast.evaluation import (
+    TARGETS,
     DayRecord,
     compute_metrics,
     error_over_time,
@@ -19,8 +25,19 @@ from drivecast.evaluation import (
     write_records_csv,
 )
 from drivecast.exceptions import DataError, InsufficientHistoryError
-from drivecast.features import FeaturePipeline, FeatureSchema, FeatureSpec
-from drivecast.models import MODEL_KINDS, OnlineModel, PredictionInterval
+from drivecast.features import (
+    FeaturePipeline,
+    FeatureSchema,
+    FeatureSpec,
+    default_schema,
+)
+from drivecast.models import (
+    MODEL_KINDS,
+    OnlineModel,
+    PredictionInterval,
+    make_model,
+)
+from drivecast.synthdata import generate_fleet
 
 D0 = date(2023, 3, 1)
 
@@ -272,6 +289,40 @@ class TestEvaluateFleet:
                                        "distance", run_seed=1, warmup=10)
             assert res["aggregate"]["n_scored"] == 30
             assert all(np.isfinite(r.point) for r in recs)
+
+
+# SHA-256 of every record's (point, lower, upper, sigma, abstained) for
+# every kind and target on a small synthetic fleet; see
+# TestGoldenRecords.
+GOLDEN_RECORDS_DIGEST = ("59a8208ae16d5cab28ec745764cf5c03"
+                         "00496cb0ba64267b684ec50a31aca041")
+
+
+class TestGoldenRecords:
+    def test_every_kind_and_target_bit_for_bit(self):
+        """Every interval any kind ships, pinned bit for bit: ``repr`` of a
+        float round-trips, so a one-ulp change to any field moves the
+        digest."""
+        fleet, _ = generate_fleet(n_regular=2, n_irregular=1, n_days=120,
+                                  seed=0)
+        kept, _ = preprocess_fleet(fleet)
+        schema = default_schema()
+        digest = hashlib.sha256()
+        n_records = 0
+        for kind in MODEL_KINDS:
+            for target in TARGETS:
+                for vid in sorted(kept):
+                    model = make_model(kind, schema.dim,
+                                       seed=stable_seed(0, vid, kind, target))
+                    records = progressive_validate(
+                        model, FeaturePipeline(schema),
+                        build_daily_examples(kept[vid]), target)
+                    for r in records:
+                        digest.update(repr((r.point, r.lower, r.upper,
+                                            r.sigma, r.abstained)).encode())
+                    n_records += len(records)
+        assert n_records > 0
+        assert digest.hexdigest() == GOLDEN_RECORDS_DIGEST
 
 
 class TestRecordsCsv:

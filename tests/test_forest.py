@@ -184,8 +184,8 @@ class TestAdaptiveForest:
         for _ in range(2000):
             x = rng.normal(size=1)
             forest.learn_one(x, float(10 * (x[0] > 0)) + rng.normal(0, 0.5))
-        hi = forest.quantile(np.array([1.0]), 0.5)
-        lo = forest.quantile(np.array([-1.0]), 0.5)
+        hi = forest.merged_sketch(np.array([1.0])).quantile(0.5)
+        lo = forest.merged_sketch(np.array([-1.0])).quantile(0.5)
         assert hi == pytest.approx(10.0, abs=1.5)
         assert lo == pytest.approx(0.0, abs=1.5)
 

@@ -55,7 +55,7 @@ class TestMeanBaseline:
         x = np.zeros(2)
         for y in ys:
             m.learn_one(x, y)
-        assert m.predict_one(x) == pytest.approx(ys.mean())
+        assert m.predict_interval(x).point == pytest.approx(ys.mean())
         pi = m.predict_interval(x)
         assert pi.sigma == pytest.approx(ys.std(ddof=1))
         assert pi.lower == pytest.approx(ys.mean() - Z90 * pi.sigma)
@@ -196,13 +196,13 @@ class TestQuantileKnn:
         for i, y in enumerate((10.0, 20.0, 30.0, 40.0)):
             model.learn_one(np.array([float(i)]), y)
         # x=0 was evicted; nearest stored point is x=1
-        assert model.predict_one(np.array([0.0])) == 20.0
+        assert model.predict_interval(np.array([0.0])).point == 20.0
 
     def test_tie_breaks_toward_older(self):
         model = QuantileKnn(1, k=1, window=10, min_neighbors=1)
         model.learn_one(np.array([1.0]), 100.0)
         model.learn_one(np.array([1.0]), 200.0)
-        assert model.predict_one(np.array([1.0])) == 100.0
+        assert model.predict_interval(np.array([1.0])).point == 100.0
 
     def test_needs_min_neighbors(self):
         model = QuantileKnn(2, min_neighbors=5)
@@ -210,9 +210,6 @@ class TestQuantileKnn:
             model.learn_one(np.ones(2) * i, float(i))
         with pytest.raises(InsufficientHistoryError):
             model.predict_interval(np.zeros(2))
-        # point prediction works from one observation: k=20 caps at the 4
-        # stored targets
-        assert model.predict_one(np.zeros(2)) == pytest.approx(1.5)
 
     def test_sigma_from_neighbors(self):
         model = QuantileKnn(1, k=10, window=20, min_neighbors=5)

@@ -228,11 +228,6 @@ class TestForwardSfs:
         res = forward_sfs(fleet, schema, "departure")
         assert res["selected"] == ["grp"]
 
-    def test_max_features_cap(self):
-        res = forward_sfs(self.make_fleet(), abc_schema(), "departure",
-                          max_features=1)
-        assert res["selected"] == ["a"]
-
 
 class TestVif:
     def test_scores_match_inverse_correlation_oracle(self):
