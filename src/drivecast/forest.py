@@ -4,15 +4,20 @@ Trees grow one observation at a time.  Each leaf keeps equal-width
 histogram statistics of the target per feature and converts a leaf into a
 binary split only when a Hoeffding-style confidence bound says the best
 candidate beats the runner-up with high probability, so the tree built
-online converges to the one a batch learner would pick.  Leaves also keep
-a quantile sketch of their targets, which is what interval predictions
-are read from.
+online converges to the one a batch learner would pick.  A leaf's
+histogram is two arrays: ``stats``, the count, sum and sum of squares of
+the targets per feature and bin, and ``ranges``, the least and greatest
+value seen per feature, which set the bin edges.  Leaves also keep a
+quantile sketch of their targets, which is what interval predictions are
+read from.
 
 The forest combines such trees with Poisson online bagging and random
 feature subspaces.  Every tree is paired with two adaptive windows fed
 its absolute error: a sensitive one that starts a background replacement
 tree on warning, and a conservative one that swaps the replacement in on
-confirmed drift.
+confirmed drift.  An observation updates the histograms of every leaf it
+trains, in every tree and background, in one batched numpy pass; each
+leaf ends up bit-equal to learning it alone.
 """
 
 from __future__ import annotations
@@ -41,16 +46,15 @@ def _as_features(x, n_features: int) -> np.ndarray:
 
 
 class _Leaf:
-    __slots__ = ("counts", "sums", "sumsqs", "fmin", "fmax", "n", "total",
-                 "sketch", "since_attempt", "depth")
+    __slots__ = ("stats", "ranges", "n", "total", "sketch", "since_attempt",
+                 "depth")
 
     def __init__(self, n_features: int, n_bins: int, sketch_k: int,
                  sketch_seed: int, depth: int):
-        self.counts = np.zeros((n_features, n_bins))
-        self.sums = np.zeros((n_features, n_bins))
-        self.sumsqs = np.zeros((n_features, n_bins))
-        self.fmin = np.full(n_features, np.inf)
-        self.fmax = np.full(n_features, -np.inf)
+        # per (feature, bin): the count, sum and sum of squares of targets
+        self.stats = np.zeros((3, n_features, n_bins))
+        # per feature: the least and greatest value seen
+        self.ranges = np.repeat([[np.inf], [-np.inf]], n_features, axis=1)
         self.n = 0.0
         self.total = 0.0
         self.sketch = KllSketch(sketch_k, seed=sketch_seed)
@@ -60,33 +64,35 @@ class _Leaf:
     def mean(self) -> float:
         return self.total / self.n if self.n > 0 else 0.0
 
-    def bin_of(self, x: np.ndarray) -> np.ndarray:
-        """Bin of each feature of an x already folded into fmin/fmax.
 
-        Then fmin <= x <= fmax, so x - fmin is 0 where the span is 0 and
-        the position lies in [0, 1]: only the top edge needs clipping."""
-        span = self.fmax - self.fmin
-        raw = (x - self.fmin) / np.where(span > 0, span, 1.0)
-        n_bins = self.counts.shape[1]
-        bins = (raw * n_bins).astype(np.int64)
-        np.minimum(bins, n_bins - 1, out=bins)
-        return bins
+def _learn_leaves(leaves: list, x: np.ndarray, y: float, weights) -> None:
+    """Fold x into each leaf's ranges and its weighted y into the histogram
+    cell of each feature's bin, for distinct leaves of one shape at once.
 
-    def learn(self, x: np.ndarray, y: float, weight: float) -> None:
-        np.minimum(self.fmin, x, out=self.fmin)
-        np.maximum(self.fmax, x, out=self.fmax)
-        # flat index of each feature's (feature, bin) cell: 1-d fancy
-        # indexing into a view costs half of indexing by (row, bin) pairs
-        n_bins = self.counts.shape[1]
-        cells = self.bin_of(x)
-        cells += np.arange(0, self.counts.size, n_bins)
-        self.counts.reshape(-1)[cells] += weight
-        self.sums.reshape(-1)[cells] += weight * y
-        self.sumsqs.reshape(-1)[cells] += weight * y * y
-        self.n += weight
-        self.total += weight * y
-        self.sketch.insert(y, int(round(weight)))
-        self.since_attempt += weight
+    Each cell of a leaf takes one add of (w, w*y, (w*y)*y), so the result
+    is bit-equal to learning the leaves one at a time."""
+    ranges = np.array([leaf.ranges for leaf in leaves])
+    lo, hi = ranges[:, 0], ranges[:, 1]
+    np.minimum(lo, x, out=lo)
+    np.maximum(hi, x, out=hi)
+    # now lo <= x <= hi, so x - lo is 0 where the span is 0 and the
+    # position lies in [0, 1]: only the top edge needs clipping
+    span = hi - lo
+    raw = (x - lo) / np.where(span > 0, span, 1.0)
+    n_stats, n_features, n_bins = leaves[0].stats.shape
+    bins = (raw * n_bins).astype(np.int64)
+    np.minimum(bins, n_bins - 1, out=bins)
+    # flat index of each (statistic, feature) cell and the value it takes:
+    # 1-d fancy indexing into a view costs half of indexing by (statistic,
+    # feature, bin), and a broadcast add costs more than a repeated one
+    firsts = np.arange(0, n_stats * n_features * n_bins, n_bins)
+    cells = (bins[:, None, :]
+             + firsts.reshape(n_stats, n_features)).reshape(len(leaves), -1)
+    adds = np.repeat([(w, w * y, w * y * y) for w in weights], n_features,
+                     axis=1)
+    for leaf, r, c, a in zip(leaves, ranges, cells, adds):
+        leaf.ranges[...] = r
+        leaf.stats.ravel()[c] += a
 
 
 class _Node:
@@ -160,8 +166,17 @@ class HoeffdingTree:
     def _learn_at(self, route, x: np.ndarray, y: float,
                   weight: float) -> None:
         """Learn a checked x at ``route``, the result of ``_descend(x)``."""
+        _learn_leaves([route[0]], x, y, [weight])
+        self._learned_at(route, y, weight)
+
+    def _learned_at(self, route, y: float, weight: float) -> None:
+        """The rest of learning at ``route`` once ``_learn_leaves`` has
+        updated its leaf's histogram: counts, sketch and split attempt."""
         leaf, parent, left = route
-        leaf.learn(x, y, weight)
+        leaf.n += weight
+        leaf.total += weight * y
+        leaf.sketch.insert(y, int(round(weight)))
+        leaf.since_attempt += weight
         self.n_seen += weight
         self.total += weight * y
         if leaf.since_attempt >= self.grace_period:
@@ -173,8 +188,7 @@ class HoeffdingTree:
             return
         m = min(self.subspace, self.n_features)
         sel = self._rng.choice(self.n_features, size=m, replace=False)
-        gains, bins = _kernels.split_gains(
-            leaf.counts[sel], leaf.sums[sel], leaf.sumsqs[sel])
+        gains, bins = _kernels.split_gains(*leaf.stats[:, sel])
         order = np.argsort(gains, kind="stable")[::-1]
         best = int(order[0])
         best_gain = float(gains[best])
@@ -186,7 +200,7 @@ class HoeffdingTree:
             return
 
         feature = int(sel[best])
-        lo, hi = leaf.fmin[feature], leaf.fmax[feature]
+        lo, hi = leaf.ranges[:, feature]
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             return
         threshold = lo + (int(bins[best]) + 1) * (hi - lo) / self.n_bins
@@ -309,6 +323,9 @@ class AdaptiveForest:
                     for tree, route in zip(self.trees, routes)]
             flags = update_many(self._warn + self._drift, errs + errs)
             warns, drifts = flags[:self.n_trees], flags[self.n_trees:]
+        # every learning tree and background in one histogram update; the
+        # leaves are distinct, and a split touches only its own tree
+        learners = []
         for i, (warned, drifted) in enumerate(zip(warns, drifts)):
             if drifted:
                 replacement = self.background[i]
@@ -324,10 +341,15 @@ class AdaptiveForest:
                 self.n_warnings += 1
             w = float(weights[i])
             if w > 0:
-                self.trees[i]._learn_at(routes[i], x, y, w)
+                learners.append((self.trees[i], routes[i], w))
                 background = self.background[i]
                 if background is not None:
-                    background._learn_at(background._descend(x), x, y, w)
+                    learners.append((background, background._descend(x), w))
+        if learners:
+            _learn_leaves([route[0] for _, route, _ in learners], x, y,
+                          [w for _, _, w in learners])
+            for tree, route, w in learners:
+                tree._learned_at(route, y, w)
         self.n_seen += 1
 
     # -- interval support ------------------------------------------------

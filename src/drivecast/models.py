@@ -134,6 +134,15 @@ class OnlineModel:
             raise ValueError("features must be finite")
         return x
 
+    @staticmethod
+    def _check_target(y) -> float:
+        """``y`` as a float; checked before ``learn_one`` changes any state,
+        so a non-finite target leaves the model as it was."""
+        y = float(y)
+        if not math.isfinite(y):
+            raise ValueError(f"target must be finite, got {y!r}")
+        return y
+
     def predict_interval(self, x) -> PredictionInterval:
         raise NotImplementedError
 
@@ -159,8 +168,9 @@ class MeanBaseline(OnlineModel):
                                            self.z)
 
     def learn_one(self, x, y: float) -> None:
+        y = self._check_target(y)
         self._check(x)
-        self._stats.update(float(y))
+        self._stats.update(y)
         self.n_seen += 1
 
 
@@ -219,8 +229,9 @@ class QuantileRegressor(OnlineModel):
         return PredictionInterval(point, lower, upper, None)
 
     def learn_one(self, x, y: float) -> None:
+        y = self._check_target(y)
         x = self._check(x)
-        y_z = self._scaler.transform(float(y))
+        y_z = self._scaler.transform(y)
         xa = self._augment(x)
         preds = self.thetas @ xa
         step = self.lr / (1.0 + self.lr_decay * self.n_seen)
@@ -230,7 +241,7 @@ class QuantileRegressor(OnlineModel):
                 self.thetas[h] -= step * (grad + 2.0 * self.l2 * self.thetas[h])
         if not np.isfinite(self.thetas).all():
             raise DivergenceError("quantile heads left the finite range")
-        self._scaler.update(float(y))
+        self._scaler.update(y)
         self.n_seen += 1
 
 
@@ -293,8 +304,8 @@ class QuantileKnn(OnlineModel):
         return PredictionInterval(point, lower, upper, sigma)
 
     def learn_one(self, x, y: float) -> None:
+        y = self._check_target(y)
         x = self._check(x)
-        y = float(y)
         if self.size > 0:
             self._residuals.update(y - float(self._neighbors(x).mean()))
         i = self._next
@@ -339,7 +350,8 @@ class QuantileForest(OnlineModel):
         return PredictionInterval(point, min(lo, point), max(hi, point), sigma)
 
     def learn_one(self, x, y: float) -> None:
-        self.forest.learn_one(self._check(x), float(y))
+        y = self._check_target(y)
+        self.forest.learn_one(self._check(x), y)
         self.n_seen += 1
 
 
@@ -443,11 +455,12 @@ class McDropoutNet(OnlineModel):
         return PredictionInterval.gaussian(point, sigma, self.z)
 
     def learn_one(self, x, y: float) -> None:
+        y = self._check_target(y)
         x = self._check(x)
         # clamp the standardized target: the running scaler can be wildly
         # off for the first few observations, and a single huge squared
         # error must not blow up the weights or the residual window
-        y_z = float(np.clip(self._scaler.transform(float(y)), -10.0, 10.0))
+        y_z = float(np.clip(self._scaler.transform(y), -10.0, 10.0))
 
         with np.errstate(over="ignore", invalid="ignore"):
             out_pre, _ = self._forward(x, masks=None)
@@ -485,7 +498,7 @@ class McDropoutNet(OnlineModel):
                 self.biases[i] -= self.lr * scale * grads_b[i]
         if not all(np.isfinite(w).all() for w in self.weights):
             raise DivergenceError("network weights left the finite range")
-        self._scaler.update(float(y))
+        self._scaler.update(y)
         self.n_seen += 1
 
 

@@ -233,9 +233,8 @@ class AdwinWindow:
             raise ValueError("delta must be in (0, 1)")
         self.delta = float(delta)
         self._cap = 64
-        self._counts = np.zeros(self._cap)
-        self._sums = np.zeros(self._cap)
-        self._sumsqs = np.zeros(self._cap)
+        # per bucket, oldest first: the count, sum and sum of squares
+        self._stats = np.zeros((3, self._cap))
         self._rows = 0
         self._level_counts: list[int] = []
         self.total = 0.0
@@ -252,10 +251,9 @@ class AdwinWindow:
 
     def _grow(self) -> None:
         self._cap *= 2
-        for name in ("_counts", "_sums", "_sumsqs"):
-            new = np.zeros(self._cap)
-            new[: self._rows] = getattr(self, name)[: self._rows]
-            setattr(self, name, new)
+        new = np.zeros((3, self._cap))
+        new[:, : self._rows] = self._stats[:, : self._rows]
+        self._stats = new
 
     def _level_start(self, level: int) -> int:
         # rows are ordered by level descending; level l starts after all
@@ -265,10 +263,7 @@ class AdwinWindow:
     def _append_new(self, v: float) -> None:
         if self._rows == self._cap:
             self._grow()
-        i = self._rows
-        self._counts[i] = 1.0
-        self._sums[i] = v
-        self._sumsqs[i] = v * v
+        self._stats[:, self._rows] = (1.0, v, v * v)
         self._rows += 1
         if not self._level_counts:
             self._level_counts.append(0)
@@ -283,11 +278,9 @@ class AdwinWindow:
             p = self._level_start(level)
             # merge the two oldest buckets of this level into one of
             # the next level; totals are unchanged
-            self._counts[p] += self._counts[p + 1]
-            self._sums[p] += self._sums[p + 1]
-            self._sumsqs[p] += self._sumsqs[p + 1]
-            for arr in (self._counts, self._sums, self._sumsqs):
-                arr[p + 1: self._rows - 1] = arr[p + 2: self._rows]
+            stats = self._stats
+            stats[:, p] += stats[:, p + 1]
+            stats[:, p + 1: self._rows - 1] = stats[:, p + 2: self._rows]
             self._rows -= 1
             self._level_counts[level] -= 2
             if level + 1 == len(self._level_counts):
@@ -296,10 +289,9 @@ class AdwinWindow:
             level += 1
 
     def _drop_oldest(self) -> None:
-        self.total -= self._counts[0]
-        self.total_sum -= self._sums[0]
-        for arr in (self._counts, self._sums, self._sumsqs):
-            arr[: self._rows - 1] = arr[1: self._rows]
+        self.total -= self._stats[0, 0]
+        self.total_sum -= self._stats[1, 0]
+        self._stats[:, : self._rows - 1] = self._stats[:, 1: self._rows]
         self._rows -= 1
         for level in range(len(self._level_counts) - 1, -1, -1):
             if self._level_counts[level] > 0:
@@ -322,11 +314,12 @@ class AdwinWindow:
 
     def to_dict(self) -> dict:
         """Plain-data snapshot of the buckets, oldest first."""
+        counts, sums, sumsqs = self._stats[:, : self._rows].tolist()
         return {
             "delta": self.delta,
-            "counts": self._counts[: self._rows].tolist(),
-            "sums": self._sums[: self._rows].tolist(),
-            "sumsqs": self._sumsqs[: self._rows].tolist(),
+            "counts": counts,
+            "sums": sums,
+            "sumsqs": sumsqs,
             "level_counts": list(self._level_counts),
             "n_drifts": self.n_drifts,
         }
@@ -367,10 +360,10 @@ def _stack(windows) -> np.ndarray:
     and sums of squares; rows past a window's own are left as they are."""
     cap = max(w._cap for w in windows)
     if all(w._cap == cap for w in windows):
-        return np.array([(w._counts, w._sums, w._sumsqs) for w in windows])
+        return np.array([w._stats for w in windows])
     out = np.zeros((len(windows), 3, cap))
     for out_w, w in zip(out, windows):
-        out_w[:, :w._cap] = (w._counts, w._sums, w._sumsqs)
+        out_w[:, :w._cap] = w._stats
     return out
 
 

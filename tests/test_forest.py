@@ -106,8 +106,8 @@ class TestHoeffdingTree:
             for _ in range(3):
                 b.learn_one(x, x[0], weight=1.0)
         assert a.n_seen == b.n_seen == 90
-        np.testing.assert_allclose(a.root.counts, b.root.counts)
-        np.testing.assert_allclose(a.root.sums, b.root.sums)
+        np.testing.assert_allclose(a.root.stats[0], b.root.stats[0])
+        np.testing.assert_allclose(a.root.stats[1], b.root.stats[1])
 
     def test_leaf_sketch_tracks_conditional_distribution(self):
         rng = np.random.default_rng(5)
@@ -118,6 +118,68 @@ class TestHoeffdingTree:
         sk = tree.leaf_sketch(np.array([1.5, 0.0, 0.0]))
         assert sk.n > 0
         assert sk.quantile(0.5) == pytest.approx(5.0, abs=1.0)
+
+
+def learn_leaf_alone(leaf, x, y, weight):
+    """One leaf's histogram update as it was made before leaves were
+    learned in a batch: the oracle for ``_learn_leaves``."""
+    counts, sums, sumsqs = leaf.stats
+    fmin, fmax = leaf.ranges
+    np.minimum(fmin, x, out=fmin)
+    np.maximum(fmax, x, out=fmax)
+    span = fmax - fmin
+    raw = (x - fmin) / np.where(span > 0, span, 1.0)
+    n_bins = counts.shape[1]
+    bins = (raw * n_bins).astype(np.int64)
+    np.minimum(bins, n_bins - 1, out=bins)
+    cells = bins + np.arange(0, counts.size, n_bins)
+    counts.reshape(-1)[cells] += weight
+    sums.reshape(-1)[cells] += weight * y
+    sumsqs.reshape(-1)[cells] += weight * y * y
+    return raw
+
+
+class TestLearnLeaves:
+    def test_batch_equals_one_leaf_at_a_time(self):
+        """Batches of 1-20 distinct leaves with weights 1-12 match the
+        one-leaf oracle bit for bit: on a feature that never varies, on
+        values at a leaf's top edge, and on a fresh leaf's first value
+        (its ranges still +-inf) in a batch with older leaves."""
+        rng = np.random.default_rng(21)
+        n_features, n_bins, n_leaves = 4, 10, 30
+
+        def fresh():
+            return forest_module._Leaf(n_features, n_bins, 64, 0, 0)
+
+        batched = [fresh() for _ in range(n_leaves)]
+        alone = [fresh() for _ in range(n_leaves)]
+        top_edges = fresh_in_batch = 0
+        for step in range(400):
+            if step % 25 == 24:
+                i = int(rng.integers(n_leaves))
+                batched[i], alone[i] = fresh(), fresh()
+            size = int(rng.integers(1, 21))
+            chosen = rng.choice(n_leaves, size=size, replace=False)
+            # a spread feature, a three-valued one that keeps landing on
+            # the edges, a constant and a coarse one
+            x = np.array([rng.normal(), rng.integers(-1, 2), 3.0,
+                          rng.integers(0, 4) * 0.7])
+            y = float(rng.normal(2.0, 3.0))
+            weights = [float(w) for w in rng.integers(1, 13, size)]
+            fresh_in_batch += any(np.isinf(alone[i].ranges).any()
+                                  for i in chosen) and size > 1
+            forest_module._learn_leaves([batched[i] for i in chosen], x, y,
+                                        weights)
+            for i, w in zip(chosen, weights):
+                raw = learn_leaf_alone(alone[i], x, y, w)
+                top_edges += int((raw == 1.0).sum())
+            for b, a in zip(batched, alone):
+                assert np.array_equal(b.stats, a.stats)
+                assert np.array_equal(b.ranges, a.ranges)
+        assert top_edges > 0 and fresh_in_batch > 0
+        # the constant feature never spread, so it filled only bin 0
+        for leaf in alone:
+            assert not leaf.stats[0, 2, 1:].any()
 
 
 class TestAdaptiveForest:

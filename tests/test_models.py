@@ -424,6 +424,23 @@ class TestFactoryAndCheckpoints:
             (b.point, b.lower, b.upper, b.sigma)
 
 
+class TestNonFiniteTarget:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_rejected_before_any_state_changes(self, kind, bad):
+        """A non-finite target raises and leaves the model byte-equal, so
+        it reaches no running statistic, window, leaf or weight."""
+        rng = np.random.default_rng(13)
+        model = make_model(kind, 3, seed=7)
+        xs = rng.normal(size=(80, 3))
+        for x in xs[:-1]:
+            model.learn_one(x, float(x[0] + rng.normal(0, 0.2)))
+        before = pickle.dumps(model)
+        with pytest.raises(ValueError, match="target"):
+            model.learn_one(xs[-1], bad)
+        assert pickle.dumps(model) == before
+
+
 class TestIntervalCalibrationQuick:
     """Loose coverage check on stationary noise for every interval model."""
 

@@ -250,8 +250,9 @@ class TestAdwinWindow:
         w = AdwinWindow(delta=0.002)
         for v in np.random.default_rng(1).normal(size=2000):
             w.update(v)
-            assert all(c <= 5 for c in w._level_counts)
-            assert sum(w._counts[: w._rows]) == w.total
+            buckets = w.to_dict()
+            assert all(c <= 5 for c in buckets["level_counts"])
+            assert sum(buckets["counts"]) == w.total
 
     def test_detects_step_change_quickly(self):
         rng = np.random.default_rng(2)
@@ -414,5 +415,6 @@ class TestAdwinWindow:
         for v in values:
             w.update(v)
         assert w.width <= len(values)
-        assert w.total == pytest.approx(sum(w._counts[: w._rows]))
-        assert w.total_sum == pytest.approx(sum(w._sums[: w._rows]), abs=1e-6)
+        buckets = w.to_dict()
+        assert w.total == pytest.approx(sum(buckets["counts"]))
+        assert w.total_sum == pytest.approx(sum(buckets["sums"]), abs=1e-6)
