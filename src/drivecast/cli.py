@@ -241,11 +241,13 @@ def stage_evaluate(cfg: dict, out_root: Path) -> None:
     src = _require(out_root / "preprocess" / "examples.csv", "preprocess")
     selection = _load_selection(out_root)
     by_vehicle = _load_examples_by_vehicle(src)
+    inputs = [src, out_root / "select" / "selection.json"]
     tuned_path = out_root / "tune" / "tuned.json"
     tuned: dict = {}
     if tuned_path.exists():
         with open(tuned_path) as fh:
             tuned = json.load(fh)
+        inputs.append(tuned_path)
     else:
         print("evaluate: no tuned.json, using model defaults",
               file=sys.stderr)
@@ -295,9 +297,7 @@ def stage_evaluate(cfg: dict, out_root: Path) -> None:
             print(f"evaluate: {kind}/{target}: mae {agg['mae']:.4f} "
                   f"picp {agg['picp']:.3f} over {agg['n_scored']} days")
     res_path = _write_json(d / "results.json", results)
-    _write_manifest(d, "evaluate", cfg,
-                    [src, out_root / "select" / "selection.json"],
-                    [res_path, *outputs])
+    _write_manifest(d, "evaluate", cfg, inputs, [res_path, *outputs])
     print(f"evaluate: -> {res_path}")
 
 

@@ -18,6 +18,9 @@ standard deviation of everything seen so far, with the statistics updated
 only after the current vector is transformed, so the output never
 depends on the example being encoded.  One-hot columns pass through
 unscaled.
+
+The rules every learner applies to its inputs and count settings live
+here once: ``check_features``, ``check_target`` and ``check_count``.
 """
 
 from __future__ import annotations
@@ -212,6 +215,39 @@ def default_schema() -> FeatureSchema:
         n("target_hist_avg", "numeric", "target_hist_avg"),
         n("target_run_avg", "numeric", "target_run_avg"),
     ])
+
+
+# -- input rules every learner shares ------------------------------------
+
+
+def check_features(x, n_features: int) -> np.ndarray:
+    """``x`` as a vector of ``n_features`` finite floats."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n_features,):
+        raise ValueError(
+            f"expected {n_features} features, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
+    return x
+
+
+def check_target(y) -> float:
+    """``y`` as a finite float."""
+    y = float(y)
+    if not math.isfinite(y):
+        raise ValueError(f"target must be finite, got {y!r}")
+    return y
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int for a count-like hyperparameter.  A bool or a
+    number with a fractional part is rejected, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating))
+            and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 class RunningStats:

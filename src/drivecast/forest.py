@@ -18,6 +18,11 @@ tree on warning, and a conservative one that swaps the replacement in on
 confirmed drift.  An observation updates the histograms of every leaf it
 trains, in every tree and background, in one batched numpy pass; each
 leaf ends up bit-equal to learning it alone.
+
+Every public method of a tree or a forest rejects malformed or
+non-finite features, and ``learn_one`` a non-finite target, before any
+window, histogram or sketch changes.  Each setting is declared once: a
+forest takes its own and hands every other keyword to its trees.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
+from .features import check_count, check_features, check_target
 from .streaming import AdwinWindow, KllSketch, update_many
 
 
@@ -35,14 +41,6 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
     """Deviation bound for a mean of n observations in [0, value_range]."""
     return math.sqrt(value_range * value_range * math.log(1.0 / delta)
                      / (2.0 * n))
-
-
-def _as_features(x, n_features: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n_features,):
-        raise ValueError(
-            f"expected {n_features} features, got shape {x.shape}")
-    return x
 
 
 class _Leaf:
@@ -118,8 +116,8 @@ class HoeffdingTree:
         self.grace_period = grace_period
         self.delta_split = delta_split
         self.tie_tau = tie_tau
-        self.n_bins = n_bins
-        self.max_depth = max_depth
+        self.n_bins = check_count("n_bins", n_bins)
+        self.max_depth = check_count("max_depth", max_depth)
         self.subspace = subspace or max(1, math.ceil(math.sqrt(n_features)))
         self.sketch_k = sketch_k
         self._rng = np.random.Generator(np.random.PCG64(seed))
@@ -131,9 +129,6 @@ class HoeffdingTree:
     def _new_leaf(self, depth: int) -> _Leaf:
         seed = int(self._rng.integers(0, 2 ** 31 - 1))
         return _Leaf(self.n_features, self.n_bins, self.sketch_k, seed, depth)
-
-    def _check(self, x) -> np.ndarray:
-        return _as_features(x, self.n_features)
 
     def _descend(self, x: np.ndarray):
         """Leaf for a checked x, plus its parent and whether it is the
@@ -154,18 +149,16 @@ class HoeffdingTree:
         return 0.0
 
     def predict_one(self, x) -> float:
-        return self._value(self._descend(self._check(x))[0])
+        x = check_features(x, self.n_features)
+        return self._value(self._descend(x)[0])
 
     def leaf_sketch(self, x) -> KllSketch:
-        return self._descend(self._check(x))[0].sketch
+        return self._descend(check_features(x, self.n_features))[0].sketch
 
     def learn_one(self, x, y: float, weight: float = 1.0) -> None:
-        x = self._check(x)
-        self._learn_at(self._descend(x), x, float(y), weight)
-
-    def _learn_at(self, route, x: np.ndarray, y: float,
-                  weight: float) -> None:
-        """Learn a checked x at ``route``, the result of ``_descend(x)``."""
+        y = check_target(y)
+        x = check_features(x, self.n_features)
+        route = self._descend(x)
         _learn_leaves([route[0]], x, y, [weight])
         self._learned_at(route, y, weight)
 
@@ -258,12 +251,10 @@ class AdaptiveForest:
     """
 
     def __init__(self, n_features: int, n_trees: int = 10, seed: int = 0,
-                 lambda_bag: float = 6.0, grace_period: int = 50,
-                 delta_split: float = 1e-5, tie_tau: float = 0.05,
-                 n_bins: int = 10, max_depth: int = 12,
-                 subspace: int | None = None, sketch_k: int = 64,
-                 warn_delta: float = 0.01, drift_delta: float = 0.002,
-                 disable_drift: bool = False):
+                 lambda_bag: float = 6.0, warn_delta: float = 0.01,
+                 drift_delta: float = 0.002, disable_drift: bool = False,
+                 **tree_kw):
+        n_trees = check_count("n_trees", n_trees)
         if n_trees < 1:
             raise ValueError("need at least one tree")
         self.n_features = n_features
@@ -272,16 +263,17 @@ class AdaptiveForest:
         self.warn_delta = warn_delta
         self.drift_delta = drift_delta
         self.disable_drift = disable_drift
-        self._tree_kw = dict(
-            grace_period=grace_period, delta_split=delta_split,
-            tie_tau=tie_tau, n_bins=n_bins, max_depth=max_depth,
-            subspace=subspace, sketch_k=sketch_k)
 
         ss = np.random.SeedSequence(seed)
         bag_ss, spawn_ss, *tree_ss = ss.spawn(n_trees + 2)
         self._bag_rng = np.random.Generator(np.random.PCG64(bag_ss))
         self._spawn_rng = np.random.Generator(np.random.PCG64(spawn_ss))
+        # a keyword no tree takes fails here, at construction; the forest
+        # then keeps each setting as its trees resolved it
+        self._tree_kw = tree_kw
         self.trees = [self._new_tree(s) for s in tree_ss]
+        self._tree_kw = {name: getattr(self.trees[0], name)
+                         for name in tree_kw}
         self._warn = [AdwinWindow(warn_delta) for _ in range(n_trees)]
         self._drift = [AdwinWindow(drift_delta) for _ in range(n_trees)]
         self.background: list[HoeffdingTree | None] = [None] * n_trees
@@ -296,9 +288,6 @@ class AdaptiveForest:
             seed = int(seed_source.generate_state(1)[0] & 0x7FFFFFFF)
         return HoeffdingTree(self.n_features, seed=seed, **self._tree_kw)
 
-    def _check(self, x) -> np.ndarray:
-        return _as_features(x, self.n_features)
-
     def _leaves(self, x: np.ndarray) -> list:
         return [tree._descend(x)[0] for tree in self.trees]
 
@@ -306,12 +295,9 @@ class AdaptiveForest:
         return float(np.mean([tree._value(leaf)
                               for tree, leaf in zip(self.trees, leaves)]))
 
-    def predict_one(self, x) -> float:
-        return self._mean(self._leaves(self._check(x)))
-
     def learn_one(self, x, y: float) -> None:
-        x = self._check(x)
-        y = float(y)
+        y = check_target(y)
+        x = check_features(x, self.n_features)
         weights = self._bag_rng.poisson(self.lambda_bag, self.n_trees)
         # a tree's error and its windows depend on that tree alone, so
         # every window is fed first and all are scanned together
@@ -363,10 +349,10 @@ class AdaptiveForest:
 
     def merged_sketch(self, x) -> KllSketch:
         """Union sketch of the targets in every tree's routed leaf."""
-        return self._union(self._leaves(self._check(x)))
+        return self._union(self._leaves(check_features(x, self.n_features)))
 
     def predict_sketch(self, x) -> tuple[float, KllSketch]:
-        """``predict_one(x)`` and ``merged_sketch(x)`` from one descent per
-        tree."""
-        leaves = self._leaves(self._check(x))
+        """The mean of every tree's prediction for x, and
+        ``merged_sketch(x)``, from one descent per tree."""
+        leaves = self._leaves(check_features(x, self.n_features))
         return self._mean(leaves), self._union(leaves)

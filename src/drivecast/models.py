@@ -36,7 +36,8 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import DivergenceError, InsufficientHistoryError
-from .features import RunningStats
+from .features import (RunningStats, check_count, check_features,
+                       check_target)
 from .forest import AdaptiveForest
 
 MODEL_KINDS = ("mean", "qr", "qknn", "qarf", "mcnn")
@@ -44,17 +45,6 @@ MODEL_KINDS = ("mean", "qr", "qknn", "qarf", "mcnn")
 # Two-sided 90% Gaussian quantile, pinned so intervals are reproducible
 # to the digit across platforms.
 Z90 = 1.6449
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int for a count-like hyperparameter.  A bool or a
-    number with a fractional part is rejected, not truncated."""
-    if isinstance(value, (bool, np.bool_)) or not (
-            isinstance(value, (int, np.integer))
-            or isinstance(value, (float, np.floating))
-            and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def z_for_confidence(confidence: float) -> float:
@@ -111,7 +101,9 @@ class _TargetScaler(RunningStats):
 class OnlineModel:
     """Shared contract: ``predict_interval`` answers before the truth is
     known, raising InsufficientHistoryError while the model has too little
-    history to answer; ``learn_one`` then folds the truth in."""
+    history to answer; ``learn_one`` then folds the truth in.  Both reject
+    malformed or non-finite features, and a non-finite target, before any
+    state changes."""
 
     kind = "base"
 
@@ -124,24 +116,6 @@ class OnlineModel:
         self.confidence = float(confidence)
         self.z = z_for_confidence(self.confidence)
         self.n_seen = 0
-
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
-            raise ValueError(
-                f"expected {self.n_features} features, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("features must be finite")
-        return x
-
-    @staticmethod
-    def _check_target(y) -> float:
-        """``y`` as a float; checked before ``learn_one`` changes any state,
-        so a non-finite target leaves the model as it was."""
-        y = float(y)
-        if not math.isfinite(y):
-            raise ValueError(f"target must be finite, got {y!r}")
-        return y
 
     def predict_interval(self, x) -> PredictionInterval:
         raise NotImplementedError
@@ -161,15 +135,15 @@ class MeanBaseline(OnlineModel):
         self._stats = RunningStats()
 
     def predict_interval(self, x) -> PredictionInterval:
-        self._check(x)
+        check_features(x, self.n_features)
         if self._stats.count < 2:
             raise InsufficientHistoryError("need two observations for a spread")
         return PredictionInterval.gaussian(self._stats.mean, self._stats.std,
                                            self.z)
 
     def learn_one(self, x, y: float) -> None:
-        y = self._check_target(y)
-        self._check(x)
+        y = check_target(y)
+        check_features(x, self.n_features)
         self._stats.update(y)
         self.n_seen += 1
 
@@ -219,7 +193,7 @@ class QuantileRegressor(OnlineModel):
         return self.thetas @ self._augment(x)
 
     def predict_interval(self, x) -> PredictionInterval:
-        x = self._check(x)
+        x = check_features(x, self.n_features)
         if self.n_seen < 2:
             raise InsufficientHistoryError("heads are still at their origin")
         lo_z, mid_z, hi_z = self._heads(x)
@@ -229,8 +203,8 @@ class QuantileRegressor(OnlineModel):
         return PredictionInterval(point, lower, upper, None)
 
     def learn_one(self, x, y: float) -> None:
-        y = self._check_target(y)
-        x = self._check(x)
+        y = check_target(y)
+        x = check_features(x, self.n_features)
         y_z = self._scaler.transform(y)
         xa = self._augment(x)
         preds = self.thetas @ xa
@@ -260,9 +234,9 @@ class QuantileKnn(OnlineModel):
                  confidence: float = 0.90, k: int = 20, window: int = 365,
                  min_neighbors: int = 5):
         super().__init__(n_features, seed, confidence)
-        self.k = _whole("k", k)
-        self.window = _whole("window", window)
-        self.min_neighbors = _whole("min_neighbors", min_neighbors)
+        self.k = check_count("k", k)
+        self.window = check_count("window", window)
+        self.min_neighbors = check_count("min_neighbors", min_neighbors)
         if self.k < 1 or self.window < 1:
             raise ValueError("k and window must be positive")
         if self.min_neighbors < 1:
@@ -281,7 +255,7 @@ class QuantileKnn(OnlineModel):
         return self._ys[: self.size][order[:kk]]
 
     def predict_interval(self, x) -> PredictionInterval:
-        x = self._check(x)
+        x = check_features(x, self.n_features)
         if self.size < self.min_neighbors:
             raise InsufficientHistoryError(
                 f"need {self.min_neighbors} stored observations, "
@@ -304,8 +278,8 @@ class QuantileKnn(OnlineModel):
         return PredictionInterval(point, lower, upper, sigma)
 
     def learn_one(self, x, y: float) -> None:
-        y = self._check_target(y)
-        x = self._check(x)
+        y = check_target(y)
+        x = check_features(x, self.n_features)
         if self.size > 0:
             self._residuals.update(y - float(self._neighbors(x).mean()))
         i = self._next
@@ -318,31 +292,20 @@ class QuantileKnn(OnlineModel):
 
 
 class QuantileForest(OnlineModel):
-    """Drift-adaptive forest; intervals from merged leaf sketches."""
+    """Drift-adaptive forest; intervals from merged leaf sketches.
+
+    Every other keyword is a setting of ``AdaptiveForest`` or of its
+    ``HoeffdingTree``s, which declare and check it."""
 
     kind = "qarf"
 
     def __init__(self, n_features: int, seed: int = 0,
-                 confidence: float = 0.90, n_trees: int = 10,
-                 lambda_bag: float = 6.0, grace_period: int = 50,
-                 delta_split: float = 1e-5, tie_tau: float = 0.05,
-                 max_depth: int = 12, n_bins: int = 10,
-                 subspace: int | None = None, sketch_k: int = 64,
-                 warn_delta: float = 0.01, drift_delta: float = 0.002,
-                 disable_drift: bool = False):
+                 confidence: float = 0.90, **forest_kw):
         super().__init__(n_features, seed, confidence)
-        n_trees = _whole("n_trees", n_trees)
-        n_bins = _whole("n_bins", n_bins)
-        max_depth = _whole("max_depth", max_depth)
-        self.forest = AdaptiveForest(
-            n_features, n_trees=n_trees, seed=seed, lambda_bag=lambda_bag,
-            grace_period=grace_period, delta_split=delta_split,
-            tie_tau=tie_tau, n_bins=n_bins, max_depth=max_depth,
-            subspace=subspace, sketch_k=sketch_k, warn_delta=warn_delta,
-            drift_delta=drift_delta, disable_drift=disable_drift)
+        self.forest = AdaptiveForest(n_features, seed=seed, **forest_kw)
 
     def predict_interval(self, x) -> PredictionInterval:
-        point, sketch = self.forest.predict_sketch(self._check(x))
+        point, sketch = self.forest.predict_sketch(x)
         if sketch.n < 2:
             raise InsufficientHistoryError("leaf sketches are near-empty")
         alpha = (1.0 - self.confidence) / 2.0
@@ -350,8 +313,7 @@ class QuantileForest(OnlineModel):
         return PredictionInterval(point, min(lo, point), max(hi, point), sigma)
 
     def learn_one(self, x, y: float) -> None:
-        y = self._check_target(y)
-        self.forest.learn_one(self._check(x), y)
+        self.forest.learn_one(x, y)
         self.n_seen += 1
 
 
@@ -377,9 +339,9 @@ class McDropoutNet(OnlineModel):
                  dropout: float = 0.1, lr: float = 0.02, n_passes: int = 50,
                  residual_window: int = 10, max_grad_norm: float = 10.0):
         super().__init__(n_features, seed, confidence)
-        hidden = tuple(_whole("hidden", h) for h in hidden)
-        n_passes = _whole("n_passes", n_passes)
-        residual_window = _whole("residual_window", residual_window)
+        hidden = tuple(check_count("hidden", h) for h in hidden)
+        n_passes = check_count("n_passes", n_passes)
+        residual_window = check_count("residual_window", residual_window)
         if not hidden or any(h < 1 for h in hidden):
             raise ValueError("hidden must name at least one positive width")
         if not 0.0 <= dropout < 1.0:
@@ -439,7 +401,7 @@ class McDropoutNet(OnlineModel):
                 for h in self.hidden]
 
     def predict_interval(self, x) -> PredictionInterval:
-        x = self._check(x)
+        x = check_features(x, self.n_features)
         if self.n_seen == 0:
             raise InsufficientHistoryError("net has not seen any target")
         out, _ = self._forward(x, masks=None)
@@ -455,8 +417,8 @@ class McDropoutNet(OnlineModel):
         return PredictionInterval.gaussian(point, sigma, self.z)
 
     def learn_one(self, x, y: float) -> None:
-        y = self._check_target(y)
-        x = self._check(x)
+        y = check_target(y)
+        x = check_features(x, self.n_features)
         # clamp the standardized target: the running scaler can be wildly
         # off for the first few observations, and a single huge squared
         # error must not blow up the weights or the residual window

@@ -237,17 +237,16 @@ class AdwinWindow:
         self._stats = np.zeros((3, self._cap))
         self._rows = 0
         self._level_counts: list[int] = []
-        self.total = 0.0
-        self.total_sum = 0.0
         self.n_drifts = 0
 
     @property
     def width(self) -> int:
-        return int(self.total)
+        return int(self._stats[0, : self._rows].sum())
 
     @property
     def mean(self) -> float:
-        return self.total_sum / self.total if self.total > 0 else 0.0
+        count, total = self._stats[:2, : self._rows].sum(axis=1)
+        return total / count if count > 0 else 0.0
 
     def _grow(self) -> None:
         self._cap *= 2
@@ -289,8 +288,6 @@ class AdwinWindow:
             level += 1
 
     def _drop_oldest(self) -> None:
-        self.total -= self._stats[0, 0]
-        self.total_sum -= self._stats[1, 0]
         self._stats[:, : self._rows - 1] = self._stats[:, 1: self._rows]
         self._rows -= 1
         for level in range(len(self._level_counts) - 1, -1, -1):
@@ -305,8 +302,6 @@ class AdwinWindow:
         it for many windows at once (see ``update_many``)."""
         v = float(v)
         self._append_new(v)
-        self.total += 1.0
-        self.total_sum += v
         self._compress()
         return scan and bool(_cut_windows([self]))
 

@@ -143,6 +143,14 @@ class TestPipeline:
         for name, digest in manifest["outputs"].items():
             got = hashlib.sha256((stage_dir / name).read_bytes()).hexdigest()
             assert got == digest, name
+        # every file the stage read, tuned params included
+        inputs = {"examples.csv": "preprocess", "selection.json": "select",
+                  "tuned.json": "tune"}
+        assert set(manifest["inputs"]) == set(inputs)
+        for name, stage in inputs.items():
+            path = tmp_path / "out" / stage / name
+            got = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert manifest["inputs"][name] == got, name
 
     def test_results_structure(self, pipeline_run):
         tmp_path, _ = pipeline_run
@@ -249,9 +257,10 @@ class TestCliErrors:
         ("evaluate", {}, False, [0.1], 2),  # params are not an object
         ("tune", {"qknn": {"k": [10.5]}}, False, None, 2),  # truncated count
         ("tune", {"qknn": {"k": [True]}}, False, None, 2),  # count as a bool
+        ("tune", {"qarf": {"n_tree": [5]}}, False, None, 2),  # no tree takes
     ], ids=["unknown-param", "unknown-category", "all-diverge",
             "tuned-unknown-param", "tuned-diverges", "tuned-not-object",
-            "fractional-count", "boolean-count"])
+            "fractional-count", "boolean-count", "forwarded-unknown-param"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
                                          grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestAdaptiveForest:
         for x, y in zip(xs, ys):
             forest.learn_one(x, y)
         test_x, test_y = threshold_stream(rng, 200)
-        errs = [abs(forest.predict_one(x) - y)
+        errs = [abs(forest.predict_sketch(x)[0] - y)
                 for x, y in zip(test_x, test_y)]
         assert np.mean(errs) < 1.5
 
@@ -203,7 +204,7 @@ class TestAdaptiveForest:
             b.learn_one(x, y)
         probe = rng.normal(size=(20, 3))
         for p in probe:
-            assert a.predict_one(p) == b.predict_one(p)
+            assert a.predict_sketch(p)[0] == b.predict_sketch(p)[0]
 
     def test_drift_triggers_replacements(self):
         rng = np.random.default_rng(12)
@@ -229,8 +230,8 @@ class TestAdaptiveForest:
         xs2, ys2 = threshold_stream(rng, 400, flip=True)
         err_a = err_f = 0.0
         for x, y in zip(xs2, ys2):
-            err_a += abs(adaptive.predict_one(x) - y)
-            err_f += abs(frozen.predict_one(x) - y)
+            err_a += abs(adaptive.predict_sketch(x)[0] - y)
+            err_f += abs(frozen.predict_sketch(x)[0] - y)
             adaptive.learn_one(x, y)
             frozen.learn_one(x, y)
         assert err_a < err_f
@@ -323,3 +324,35 @@ class TestAdaptiveForest:
         assert (forest.n_warnings, forest.n_replacements,
                 splits) == GOLDEN_COUNTS
         assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad_x, bad_y", [
+        (None, math.nan), (None, math.inf), (None, -math.inf),
+        (math.nan, None), (-math.inf, None)])
+    @pytest.mark.parametrize("make, predict", [
+        (lambda: HoeffdingTree(3, seed=7, grace_period=20),
+         HoeffdingTree.predict_one),
+        (lambda: AdaptiveForest(3, n_trees=3, seed=7),
+         AdaptiveForest.predict_sketch)],
+        ids=["tree", "forest"])
+    def test_rejected_before_any_state_changes(self, make, predict, bad_x,
+                                               bad_y):
+        """A non-finite feature or target raises and leaves the tree or
+        forest byte-equal: it reaches no window, histogram or sketch."""
+        rng = np.random.default_rng(13)
+        learner = make()
+        xs = rng.normal(size=(80, 3))
+        for x in xs[:-1]:
+            learner.learn_one(x, float(x[0] + rng.normal(0, 0.2)))
+        x = xs[-1].copy()
+        if bad_x is not None:
+            x[1] = bad_x
+        before = pickle.dumps(learner)
+        with pytest.raises(ValueError, match="feature" if bad_y is None
+                           else "target"):
+            learner.learn_one(x, 1.0 if bad_y is None else bad_y)
+        assert pickle.dumps(learner) == before
+        if bad_x is not None:
+            with pytest.raises(ValueError, match="feature"):
+                predict(learner, x)
