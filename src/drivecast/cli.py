@@ -152,8 +152,7 @@ def stage_select(cfg: dict, out_root: Path) -> None:
     by_vehicle = _load_examples_by_vehicle(src)
     sc = cfg["select"]
     cohort = select_well_behaving(by_vehicle, n_select=sc["n_select"],
-                                  seed=cfg["seed"],
-                                  holdout_fraction=sc["holdout_fraction"])
+                                  seed=cfg["seed"])
     if cohort["shortfall"]:
         print(f"select: warning: only {len(cohort['selected'])} vehicles "
               f"available of {sc['n_select']} requested", file=sys.stderr)
@@ -163,14 +162,11 @@ def stage_select(cfg: dict, out_root: Path) -> None:
     schema = default_schema()
     features: dict[str, dict] = {}
     for target in cfg["evaluate"]["targets"]:
-        pearson = pearson_screen(screen_set, schema, target,
-                                 threshold=sc["pearson_threshold"])
-        forward = forward_sfs(screen_set, schema, target,
-                              min_gain=sc["sfs_min_gain"])
+        pearson = pearson_screen(screen_set, schema, target)
+        forward = forward_sfs(screen_set, schema, target)
         combined = combine_screens(schema, pearson["weak"],
                                    forward["selected"])
-        pruned = vif_prune(screen_set, combined, target,
-                           threshold=sc["vif_threshold"])
+        pruned = vif_prune(screen_set, combined, target)
         final = pruned["schema"]
         backward_removed: list[str] = []
         if sc["run_backward"]:
@@ -274,8 +270,7 @@ def stage_evaluate(cfg: dict, out_root: Path) -> None:
                 res, records = evaluate_fleet(
                     cohort, kind, schema, target, run_seed=cfg["seed"],
                     warmup=ev["warmup"], within_tol=ev["within_tol"][target],
-                    confidence=ev["confidence"], hyper=hyper,
-                    curve_stride=ev["curve_stride"])
+                    confidence=ev["confidence"], hyper=hyper)
             except DivergenceError as e:
                 raise ConfigError(
                     field, f"diverged on the evaluate cohort with params "

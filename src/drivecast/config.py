@@ -27,10 +27,6 @@ DEFAULT_CONFIG: dict = {
     },
     "select": {
         "n_select": 100,
-        "holdout_fraction": 0.2,
-        "pearson_threshold": 0.02,
-        "sfs_min_gain": 0.01,
-        "vif_threshold": 10.0,
         "run_backward": False,
         "max_vehicles": 12,
     },
@@ -47,7 +43,6 @@ DEFAULT_CONFIG: dict = {
         "warmup": DEFAULT_WARMUP,
         "confidence": 0.90,
         "within_tol": dict(DEFAULT_WITHIN_TOL),
-        "curve_stride": 10,
     },
 }
 
@@ -129,10 +124,6 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"synth.drift.{k}", "must be a number")
 
     _need(cfg, "select.n_select", int, low=1)
-    _need(cfg, "select.holdout_fraction", (int, float), low=0.0, high=0.9)
-    _need(cfg, "select.pearson_threshold", (int, float), low=0.0)
-    _need(cfg, "select.sfs_min_gain", (int, float), low=0.0)
-    _need(cfg, "select.vif_threshold", (int, float), low=1.0)
     _need(cfg, "select.run_backward", bool)
     _need(cfg, "select.max_vehicles", int, low=1)
 
@@ -175,7 +166,6 @@ def validate_config(cfg: dict) -> dict:
                 or tol[t] <= 0:
             raise ConfigError(f"evaluate.within_tol.{t}",
                               "need a positive tolerance per target")
-    _need(cfg, "evaluate.curve_stride", int, low=1)
     return cfg
 
 

@@ -25,6 +25,8 @@ from .models import MODEL_KINDS, OnlineModel, PredictionInterval, make_model
 
 TARGETS = ("departure", "distance")
 DEFAULT_WARMUP = 20
+# Days per bucket of the error-over-time curve.
+CURVE_STRIDE = 10
 
 # Default "close enough" tolerance per target: an hour for departure
 # time, five kilometers for distance.
@@ -113,7 +115,8 @@ def compute_metrics(records: list[DayRecord], within_tol: float) -> dict:
     }
 
 
-def error_over_time(records: list[DayRecord], stride: int = 10) -> list[dict]:
+def error_over_time(records: list[DayRecord],
+                    stride: int = CURVE_STRIDE) -> list[dict]:
     """Fleet error as history accumulates: records are bucketed by their
     within-vehicle day index and averaged per bucket of ``stride`` days."""
     if stride < 1:
@@ -153,8 +156,7 @@ def evaluate_fleet(examples_by_vehicle: dict[str, list[DailyExample]],
                    run_seed: int = 0, warmup: int = DEFAULT_WARMUP,
                    within_tol: float | None = None,
                    confidence: float = 0.90,
-                   hyper: dict | None = None,
-                   curve_stride: int = 10) -> tuple[dict, list[DayRecord]]:
+                   hyper: dict | None = None) -> tuple[dict, list[DayRecord]]:
     """Run one model kind over every vehicle; per-vehicle and pooled metrics.
 
     Each vehicle gets its own model instance and pipeline, seeded
@@ -191,7 +193,7 @@ def evaluate_fleet(examples_by_vehicle: dict[str, list[DailyExample]],
         "n_vehicles": len(per_vehicle),
         "aggregate": aggregate,
         "per_vehicle": per_vehicle,
-        "curve": error_over_time(all_records, curve_stride),
+        "curve": error_over_time(all_records),
     }
     return results, all_records
 

@@ -125,6 +125,12 @@ class FeatureSchema:
     def group_slice(self, name: str) -> slice:
         return self._slices[name]
 
+    def column_index(self, names: list[str]) -> np.ndarray:
+        """Indices of the named descriptors' columns, in the order given."""
+        return np.array([j for n in names
+                         for j in range(self._slices[n].start,
+                                        self._slices[n].stop)], dtype=np.intp)
+
     def passthrough_mask(self) -> np.ndarray:
         """True for columns the standardizer must leave untouched."""
         mask = np.zeros(self.dim, dtype=bool)

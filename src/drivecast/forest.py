@@ -36,6 +36,15 @@ from .exceptions import InsufficientHistoryError
 from .features import check_count, check_features, check_target
 from .streaming import AdwinWindow, KllSketch, update_many
 
+# A leaf splits when its best candidate beats the runner-up with
+# probability 1 - DELTA_SPLIT or the bound falls below TIE_TAU (Domingos &
+# Hulten, KDD 2000); bagging weights are Poisson(LAMBDA_BAG) (Gomes et al.,
+# 2017); every leaf's quantile sketch has compactor capacity SKETCH_K.
+DELTA_SPLIT = 1e-5
+TIE_TAU = 0.05
+LAMBDA_BAG = 6.0
+SKETCH_K = 64
+
 
 def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
     """Deviation bound for a mean of n observations in [0, value_range]."""
@@ -107,19 +116,17 @@ class HoeffdingTree:
     """Single incremental regression tree with histogram-based splits."""
 
     def __init__(self, n_features: int, seed: int = 0, grace_period: int = 50,
-                 delta_split: float = 1e-5, tie_tau: float = 0.05,
                  n_bins: int = 10, max_depth: int = 12,
-                 subspace: int | None = None, sketch_k: int = 64):
+                 subspace: int | None = None):
         if n_features < 1:
             raise ValueError("need at least one feature")
         self.n_features = n_features
         self.grace_period = grace_period
-        self.delta_split = delta_split
-        self.tie_tau = tie_tau
         self.n_bins = check_count("n_bins", n_bins)
+        if self.n_bins < 2:
+            raise ValueError(f"n_bins must be at least 2, got {n_bins!r}")
         self.max_depth = check_count("max_depth", max_depth)
         self.subspace = subspace or max(1, math.ceil(math.sqrt(n_features)))
-        self.sketch_k = sketch_k
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self.root = self._new_leaf(depth=0)
         self.n_seen = 0.0
@@ -128,7 +135,7 @@ class HoeffdingTree:
 
     def _new_leaf(self, depth: int) -> _Leaf:
         seed = int(self._rng.integers(0, 2 ** 31 - 1))
-        return _Leaf(self.n_features, self.n_bins, self.sketch_k, seed, depth)
+        return _Leaf(self.n_features, self.n_bins, SKETCH_K, seed, depth)
 
     def _descend(self, x: np.ndarray):
         """Leaf for a checked x, plus its parent and whether it is the
@@ -158,6 +165,9 @@ class HoeffdingTree:
     def learn_one(self, x, y: float, weight: float = 1.0) -> None:
         y = check_target(y)
         x = check_features(x, self.n_features)
+        weight = float(weight)
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"weight must be finite and >= 0, got {weight!r}")
         route = self._descend(x)
         _learn_leaves([route[0]], x, y, [weight])
         self._learned_at(route, y, weight)
@@ -188,8 +198,8 @@ class HoeffdingTree:
         if best_gain <= 0.0 or bins[best] < 0:
             return
         second_gain = float(gains[int(order[1])]) if m > 1 else 0.0
-        eps = hoeffding_bound(1.0, self.delta_split, leaf.n)
-        if not (best_gain - second_gain > eps or eps < self.tie_tau):
+        eps = hoeffding_bound(1.0, DELTA_SPLIT, leaf.n)
+        if not (best_gain - second_gain > eps or eps < TIE_TAU):
             return
 
         feature = int(sel[best])
@@ -251,15 +261,14 @@ class AdaptiveForest:
     """
 
     def __init__(self, n_features: int, n_trees: int = 10, seed: int = 0,
-                 lambda_bag: float = 6.0, warn_delta: float = 0.01,
-                 drift_delta: float = 0.002, disable_drift: bool = False,
+                 warn_delta: float = 0.01, drift_delta: float = 0.002,
+                 disable_drift: bool = False,
                  **tree_kw):
         n_trees = check_count("n_trees", n_trees)
         if n_trees < 1:
             raise ValueError("need at least one tree")
         self.n_features = n_features
         self.n_trees = n_trees
-        self.lambda_bag = lambda_bag
         self.warn_delta = warn_delta
         self.drift_delta = drift_delta
         self.disable_drift = disable_drift
@@ -298,7 +307,7 @@ class AdaptiveForest:
     def learn_one(self, x, y: float) -> None:
         y = check_target(y)
         x = check_features(x, self.n_features)
-        weights = self._bag_rng.poisson(self.lambda_bag, self.n_trees)
+        weights = self._bag_rng.poisson(LAMBDA_BAG, self.n_trees)
         # a tree's error and its windows depend on that tree alone, so
         # every window is fed first and all are scanned together
         routes = [tree._descend(x) for tree in self.trees]

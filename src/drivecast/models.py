@@ -46,6 +46,9 @@ MODEL_KINDS = ("mean", "qr", "qknn", "qarf", "mcnn")
 # to the digit across platforms.
 Z90 = 1.6449
 
+# ``qr``'s step after n observations is lr / (1 + LR_DECAY * n).
+LR_DECAY = 0.01
+
 
 def z_for_confidence(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
@@ -165,7 +168,7 @@ class QuantileRegressor(OnlineModel):
 
     def __init__(self, n_features: int, seed: int = 0,
                  confidence: float = 0.90, lr: float | None = None,
-                 l2: float = 1e-4, lr_decay: float = 0.01):
+                 l2: float = 1e-4):
         super().__init__(n_features, seed, confidence)
         if lr is None:
             # step size that keeps the heads stable regardless of how
@@ -175,7 +178,6 @@ class QuantileRegressor(OnlineModel):
             raise ValueError("lr must be positive")
         self.lr = float(lr)
         self.l2 = float(l2)
-        self.lr_decay = float(lr_decay)
         alpha = (1.0 - self.confidence) / 2.0
         self.taus = (alpha, 0.5, 1.0 - alpha)
         self.thetas = np.zeros((3, n_features + 1))
@@ -208,7 +210,7 @@ class QuantileRegressor(OnlineModel):
         y_z = self._scaler.transform(y)
         xa = self._augment(x)
         preds = self.thetas @ xa
-        step = self.lr / (1.0 + self.lr_decay * self.n_seen)
+        step = self.lr / (1.0 + LR_DECAY * self.n_seen)
         with np.errstate(over="ignore", invalid="ignore"):
             for h, tau in enumerate(self.taus):
                 grad = -tau * xa if y_z >= preds[h] else (1.0 - tau) * xa

@@ -27,6 +27,10 @@ from .features import FeaturePipeline, FeatureSchema
 
 VIF_THRESHOLD = 10.0
 PEARSON_THRESHOLD = 0.02
+# Share of the selected vehicles held out as the validation set.
+HOLDOUT_FRACTION = 0.2
+# Relative MAE gain a forward-selection step must bring to be taken.
+SFS_MIN_GAIN = 0.01
 # Share of each vehicle's most recent days the forward-selection scorer
 # holds out.
 LS_HOLDOUT_FRACTION = 0.2
@@ -83,13 +87,12 @@ def hopkins_statistic(points: np.ndarray, seed: int = 0) -> float:
 
 
 def select_well_behaving(examples_by_vehicle: dict[str, list[DailyExample]],
-                         n_select: int = 100, seed: int = 0,
-                         holdout_fraction: float = 0.2) -> dict:
+                         n_select: int = 100, seed: int = 0) -> dict:
     """Rank vehicles by clusterability and keep the top ``n_select``.
 
     The kept vehicles are split into a tuning set and a held-out
-    validation set.  Ties in the ranking break toward the smaller
-    vehicle id so reruns agree exactly.
+    validation set, ``HOLDOUT_FRACTION`` of them.  Ties in the ranking
+    break toward the smaller vehicle id so reruns agree exactly.
     """
     scores: dict[str, float] = {}
     for vid, examples in examples_by_vehicle.items():
@@ -107,7 +110,7 @@ def select_well_behaving(examples_by_vehicle: dict[str, list[DailyExample]],
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(seed), 0x5E1EC7])))
     order = rng.permutation(len(selected))
-    n_holdout = int(round(holdout_fraction * len(selected)))
+    n_holdout = int(round(HOLDOUT_FRACTION * len(selected)))
     holdout = sorted(selected[i] for i in order[:n_holdout])
     train = sorted(selected[i] for i in order[n_holdout:])
     return {
@@ -188,18 +191,18 @@ def pearson_screen(examples_by_vehicle: dict[str, list[DailyExample]],
 # -- wrapper selection --------------------------------------------------
 
 
-def _pooled_ls_mae(xs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
+def _pooled_ls_mae(zs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
                    cols: np.ndarray) -> float:
-    """Temporal-holdout MAE of per-vehicle least-squares fits.
+    """Temporal-holdout MAE of per-vehicle least-squares fits on the
+    ``cols`` of each vehicle's standardized matrix.
 
     Each vehicle's stream is fit on its earliest days and scored on the
     most recent ones, mirroring the online setting; an extra feature only
     helps the score if it generalizes forward in time."""
     total_err = 0.0
     total_n = 0
-    for x, y in xs_by_vehicle.values():
-        sub = _standardize_columns(x[:, cols])
-        a = np.hstack([sub, np.ones((len(sub), 1))])
+    for z, y in zs_by_vehicle.values():
+        a = np.hstack([z[:, cols], np.ones((len(z), 1))])
         cut = len(y) - int(LS_HOLDOUT_FRACTION * len(y))
         if cut < 2 or cut >= len(y):
             cut = max(len(y) - 1, 1)
@@ -210,15 +213,17 @@ def _pooled_ls_mae(xs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
 
 
 def forward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
-                schema: FeatureSchema, target: str,
-                min_gain: float = 0.01) -> dict:
+                schema: FeatureSchema, target: str) -> dict:
     """Greedy forward selection of descriptors against a least-squares
     scorer.  One-hot and sine/cosine groups move as a unit.  A step is
     only taken when it improves the pooled holdout MAE by at least the
-    ``min_gain`` relative margin, so chance-level fluctuations from
-    irrelevant columns do not extend the selection."""
-    cache = {vid: encode_batch(ex, schema, target)
-             for vid, ex in examples_by_vehicle.items()}
+    ``SFS_MIN_GAIN`` relative margin, so chance-level fluctuations from
+    irrelevant columns do not extend the selection.  Each vehicle is
+    encoded and standardized once: both work column by column."""
+    cache = {}
+    for vid, ex in examples_by_vehicle.items():
+        x, y = encode_batch(ex, schema, target)
+        cache[vid] = (_standardize_columns(x), y)
     chosen: list[str] = []
     remaining = list(schema.names)
     best_score = math.inf
@@ -227,13 +232,9 @@ def forward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
         step_best = None
         step_score = best_score
         for name in remaining:  # schema order, so ties keep earlier names
-            cols = np.concatenate([
-                np.arange(schema.group_slice(n).start,
-                          schema.group_slice(n).stop)
-                for n in chosen + [name]
-            ])
-            score = _pooled_ls_mae(cache, cols)
-            if score < step_score * (1.0 - min_gain):
+            # columns in the order chosen, as the scorer's fit sees them
+            score = _pooled_ls_mae(cache, schema.column_index(chosen + [name]))
+            if score < step_score * (1.0 - SFS_MIN_GAIN):
                 step_score = score
                 step_best = name
         if step_best is None:
@@ -266,40 +267,35 @@ def vif_scores(x: np.ndarray) -> np.ndarray:
 
 
 def vif_prune(examples_by_vehicle: dict[str, list[DailyExample]],
-              schema: FeatureSchema, target: str,
-              threshold: float = VIF_THRESHOLD) -> dict:
-    """Iteratively drop the descriptor owning the worst-inflated column.
+              schema: FeatureSchema, target: str) -> dict:
+    """Iteratively drop the descriptor owning the worst-inflated column
+    while its VIF exceeds ``VIF_THRESHOLD``.
 
     One-hot groups are exempt: their columns are mutually exclusive
     indicators whose joint collinearity with the intercept is structural,
-    not a sign of redundant information.
+    not a sign of redundant information.  The stacked cohort is encoded
+    and standardized once; both work column by column, so every round
+    scores exactly the columns a re-encoding would give.
     """
-    work = schema
+    numeric = [s.name for s in schema.specs if s.kind != "onehot"]
     dropped: list[str] = []
-    while True:
-        numeric = [s.name for s in work.specs if s.kind != "onehot"]
-        if len(numeric) < 2:
-            break
-        cols = np.concatenate([
-            np.arange(work.group_slice(n).start, work.group_slice(n).stop)
-            for n in numeric
-        ])
-        stacked = np.vstack([
-            encode_batch(ex, work, target)[0][:, cols]
+    if len(numeric) >= 2:
+        z = _standardize_columns(np.vstack([
+            encode_batch(ex, schema, target)[0]
             for ex in examples_by_vehicle.values()
-        ])
-        vifs = vif_scores(_standardize_columns(stacked))
+        ]))
+    while len(numeric) >= 2:
+        cols = schema.column_index(numeric)
+        vifs = vif_scores(z[:, cols])
         worst = int(np.argmax(vifs))
-        if not vifs[worst] > threshold:
+        if not vifs[worst] > VIF_THRESHOLD:
             break
-        flat = []
-        for n in numeric:
-            sl = work.group_slice(n)
-            flat.extend([n] * (sl.stop - sl.start))
-        victim = flat[worst]
+        victim = next(n for n in numeric
+                      if cols[worst] in schema.column_index([n]))
         dropped.append(victim)
-        work = work.subset([n for n in work.names if n != victim])
-    return {"schema": work, "dropped": dropped, "threshold": threshold}
+        numeric.remove(victim)
+    work = schema.subset([n for n in schema.names if n not in dropped])
+    return {"schema": work, "dropped": dropped}
 
 
 # -- full-loop wrappers -------------------------------------------------

@@ -322,10 +322,10 @@ class _DriverSim:
 
 def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
                    n_days: int = 365, seed: int = 0,
-                   start: date = DEFAULT_START,
                    drift: dict | None = None
                    ) -> tuple[dict[str, VehicleHistory], dict]:
-    """Build a fleet of session histories plus the ground truth behind it.
+    """Build a fleet of session histories plus the ground truth behind it,
+    every history starting on ``DEFAULT_START``.
 
     ``drift``, when given, plants a behavior shift on a fraction of the
     regular vehicles: ``{"day": 180, "departure_shift": 2.0,
@@ -365,7 +365,7 @@ def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
         else:
             profile = irregular_profile(rng)
         sim = _DriverSim(vid, profile, rng)
-        trips, charges = sim.simulate(start, n_days)
+        trips, charges = sim.simulate(DEFAULT_START, n_days)
         histories[vid] = VehicleHistory(vid, trips, charges)
         truth_vehicles[vid] = {
             "archetype": archetypes[i],
@@ -376,7 +376,7 @@ def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
 
     truth = {
         "seed": seed,
-        "start": start.isoformat(),
+        "start": DEFAULT_START.isoformat(),
         "n_days": n_days,
         "n_regular": n_regular,
         "n_irregular": n_irregular,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from drivecast.config import (
     validate_config,
 )
 from drivecast.exceptions import ConfigError
-from drivecast.features import PART_OF_DAY_CATEGORIES
+from drivecast.features import PART_OF_DAY_CATEGORIES, FeatureSchema
 
 
 class TestConfig:
@@ -66,6 +67,22 @@ class TestConfig:
         ({"tune": {"grids": {"qknn": {"k": [10.5]}}}}, "tune.grids.qknn.k"),
         ({"tune": {"grids": {"mcnn": {"hidden": [[16, 8.5]]}}}},
          "tune.grids.mcnn.hidden"),
+        # settings that are module constants now, named at their old values
+        ({"select": {"holdout_fraction": 0.2}}, "select.holdout_fraction"),
+        ({"select": {"pearson_threshold": 0.02}}, "select.pearson_threshold"),
+        ({"select": {"sfs_min_gain": 0.01}}, "select.sfs_min_gain"),
+        ({"select": {"vif_threshold": 10.0}}, "select.vif_threshold"),
+        ({"evaluate": {"curve_stride": 10}}, "evaluate.curve_stride"),
+        ({"tune": {"grids": {"qr": {"lr_decay": [0.01]}}}},
+         "tune.grids.qr.lr_decay"),
+        ({"tune": {"grids": {"qarf": {"lambda_bag": [6.0]}}}},
+         "tune.grids.qarf.lambda_bag"),
+        ({"tune": {"grids": {"qarf": {"delta_split": [1e-5]}}}},
+         "tune.grids.qarf.delta_split"),
+        ({"tune": {"grids": {"qarf": {"tie_tau": [0.05]}}}},
+         "tune.grids.qarf.tie_tau"),
+        ({"tune": {"grids": {"qarf": {"sketch_k": [64]}}}},
+         "tune.grids.qarf.sketch_k"),
     ])
     def test_rejects_bad_values(self, tmp_path, bad, field):
         path = tmp_path / "c.json"
@@ -83,6 +100,12 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_readme_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == DEFAULT_CONFIG
 
     def test_digest_ignores_out_dir_only(self):
         a = load_config(None)
@@ -169,6 +192,20 @@ class TestPipeline:
         text = (tmp_path / "out" / "report" / "report.md").read_text()
         assert "qknn" in text and "mean" in text
         assert "departure" in text and "distance" in text
+
+    def test_backward_elimination_trims_the_schema(self, pipeline_run,
+                                                   tmp_path):
+        shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
+        cfg = write_config(tmp_path, select={"n_select": 5, "max_vehicles": 3,
+                                             "run_backward": True})
+        assert main(["select", "--config", str(cfg)]) == 0
+        selection = json.loads(
+            (tmp_path / "out" / "select" / "selection.json").read_text())
+        for target, block in selection["features"].items():
+            schema = FeatureSchema.from_dict(block["schema"])
+            assert not set(block["backward_removed"]) & set(schema.names), \
+                target
+            assert block["n_features"] == schema.dim, target
 
     def test_rerun_is_byte_identical(self, pipeline_run):
         tmp_path, cfg_path = pipeline_run
@@ -258,9 +295,12 @@ class TestCliErrors:
         ("tune", {"qknn": {"k": [10.5]}}, False, None, 2),  # truncated count
         ("tune", {"qknn": {"k": [True]}}, False, None, 2),  # count as a bool
         ("tune", {"qarf": {"n_tree": [5]}}, False, None, 2),  # no tree takes
+        ("tune", {"qarf": {"n_bins": [1]}}, False, None, 2),  # no split
+        ("tune", {"qarf": {"tie_tau": [0.1]}}, False, None, 2),  # a constant
     ], ids=["unknown-param", "unknown-category", "all-diverge",
             "tuned-unknown-param", "tuned-diverges", "tuned-not-object",
-            "fractional-count", "boolean-count", "forwarded-unknown-param"])
+            "fractional-count", "boolean-count", "forwarded-unknown-param",
+            "one-bin", "constant-param"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
                                          grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")

@@ -113,6 +113,15 @@ class TestDefaultSchema:
         with pytest.raises(ValueError):
             schema.subset(["nope"])
 
+    def test_column_index_follows_given_order(self):
+        schema = default_schema()
+        names = ["prev_end_hours", "day_of_week_cyc", "is_workday"]
+        cols = schema.column_index(names)
+        assert [schema.columns[j] for j in cols] == [
+            c for n in names for c in schema.columns[schema.group_slice(n)]]
+        assert len(cols) == 4
+        assert len(schema.column_index([])) == 0
+
     def test_roundtrip(self):
         schema = default_schema()
         again = FeatureSchema.from_dict(schema.to_dict())

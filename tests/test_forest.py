@@ -356,3 +356,16 @@ class TestNonFiniteInput:
         if bad_x is not None:
             with pytest.raises(ValueError, match="feature"):
                 predict(learner, x)
+
+    @pytest.mark.parametrize("weight", [math.nan, -1.0, math.inf])
+    def test_bad_weight_rejected_before_any_state_changes(self, weight):
+        """A tree's weight must be finite and >= 0; a bad one raises and
+        leaves the tree byte-equal."""
+        rng = np.random.default_rng(13)
+        tree = HoeffdingTree(2)
+        for x in rng.normal(size=(30, 2)):
+            tree.learn_one(x, float(x[0]))
+        before = pickle.dumps(tree)
+        with pytest.raises(ValueError, match="weight"):
+            tree.learn_one([0.5, -0.5], 1.0, weight)
+        assert pickle.dumps(tree) == before
