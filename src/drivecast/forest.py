@@ -8,8 +8,8 @@ online converges to the one a batch learner would pick.  A leaf's
 histogram is two arrays: ``stats``, the count, sum and sum of squares of
 the targets per feature and bin, and ``ranges``, the least and greatest
 value seen per feature, which set the bin edges.  Leaves also keep a
-quantile sketch of their targets, which is what interval predictions are
-read from.
+quantile sketch of their targets; a forest's interval is read from the
+pooled items of the sketches of the leaves an input is routed to.
 
 The forest combines such trees with Poisson online bagging and random
 feature subspaces.  Every tree is paired with two adaptive windows fed
@@ -121,12 +121,19 @@ class HoeffdingTree:
         if n_features < 1:
             raise ValueError("need at least one feature")
         self.n_features = n_features
-        self.grace_period = grace_period
+        self.grace_period = check_count("grace_period", grace_period)
+        if self.grace_period < 1:
+            raise ValueError(
+                f"grace_period must be at least 1, got {grace_period!r}")
         self.n_bins = check_count("n_bins", n_bins)
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be at least 2, got {n_bins!r}")
         self.max_depth = check_count("max_depth", max_depth)
-        self.subspace = subspace or max(1, math.ceil(math.sqrt(n_features)))
+        if subspace is None:
+            subspace = max(1, math.ceil(math.sqrt(n_features)))
+        self.subspace = check_count("subspace", subspace)
+        if self.subspace < 1:
+            raise ValueError(f"subspace must be at least 1, got {subspace!r}")
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self.root = self._new_leaf(depth=0)
         self.n_seen = 0.0
@@ -350,18 +357,22 @@ class AdaptiveForest:
     # -- interval support ------------------------------------------------
 
     @staticmethod
-    def _union(leaves: list) -> KllSketch:
-        sketches = [leaf.sketch for leaf in leaves if leaf.sketch.n > 0]
+    def _populated(leaves: list) -> list[KllSketch]:
+        return [leaf.sketch for leaf in leaves if leaf.sketch.n > 0]
+
+    def merged_sketch(self, x) -> KllSketch:
+        """Union sketch of the targets in every tree's routed leaf."""
+        sketches = self._populated(
+            self._leaves(check_features(x, self.n_features)))
         if not sketches:
             raise InsufficientHistoryError("no populated leaves for this input")
         return KllSketch.union(sketches)
 
-    def merged_sketch(self, x) -> KllSketch:
-        """Union sketch of the targets in every tree's routed leaf."""
-        return self._union(self._leaves(check_features(x, self.n_features)))
+    def predict_sketches(self, x) -> tuple[float, list[KllSketch]]:
+        """The mean of every tree's prediction for x, and the sketches of
+        the routed leaves that hold any target, from one descent per tree.
 
-    def predict_sketch(self, x) -> tuple[float, KllSketch]:
-        """The mean of every tree's prediction for x, and
-        ``merged_sketch(x)``, from one descent per tree."""
+        ``streaming.describe`` reads an interval from the sketches' pooled
+        items, with none of the compactions of ``merged_sketch``."""
         leaves = self._leaves(check_features(x, self.n_features))
-        return self._mean(leaves), self._union(leaves)
+        return self._mean(leaves), self._populated(leaves)

@@ -15,7 +15,8 @@ constant-time and constant-memory per observation.
 * ``qknn``: nearest neighbors within a sliding window; the interval is
   read from the empirical quantiles of the neighbor targets.
 * ``qarf``: drift-adaptive forest of incremental trees; the interval is
-  read from merged per-leaf quantile sketches.
+  read from the pooled items of the quantile sketches of every tree's
+  routed leaf.
 * ``mcnn``: small feed-forward net whose predictive spread combines
   dropout-sampling variance (model uncertainty) with a running residual
   variance (noise), assuming a Gaussian predictive distribution.
@@ -39,6 +40,7 @@ from .exceptions import DivergenceError, InsufficientHistoryError
 from .features import (RunningStats, check_count, check_features,
                        check_target)
 from .forest import AdaptiveForest
+from .streaming import describe
 
 MODEL_KINDS = ("mean", "qr", "qknn", "qarf", "mcnn")
 
@@ -294,7 +296,7 @@ class QuantileKnn(OnlineModel):
 
 
 class QuantileForest(OnlineModel):
-    """Drift-adaptive forest; intervals from merged leaf sketches.
+    """Drift-adaptive forest; intervals from pooled leaf sketches.
 
     Every other keyword is a setting of ``AdaptiveForest`` or of its
     ``HoeffdingTree``s, which declare and check it."""
@@ -307,11 +309,9 @@ class QuantileForest(OnlineModel):
         self.forest = AdaptiveForest(n_features, seed=seed, **forest_kw)
 
     def predict_interval(self, x) -> PredictionInterval:
-        point, sketch = self.forest.predict_sketch(x)
-        if sketch.n < 2:
-            raise InsufficientHistoryError("leaf sketches are near-empty")
+        point, sketches = self.forest.predict_sketches(x)
         alpha = (1.0 - self.confidence) / 2.0
-        (lo, hi), _, sigma = sketch.describe((alpha, 1.0 - alpha))
+        (lo, hi), _, sigma = describe(sketches, (alpha, 1.0 - alpha))
         return PredictionInterval(point, min(lo, point), max(hi, point), sigma)
 
     def learn_one(self, x, y: float) -> None:

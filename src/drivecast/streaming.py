@@ -3,10 +3,11 @@
 The sketch keeps a compacted multi-level sample of a value stream and
 answers quantile queries with rank error proportional to 1/k.  Two
 sketches with the same accuracy parameter can be merged into one that
-summarizes the union stream.  The adaptive window maintains an
-exponential histogram over a value stream and shrinks itself whenever two
-adjacent sub-windows have statistically distinct means, which doubles as
-a drift signal.
+summarizes the union stream; ``describe`` answers for several sketches
+without merging, from the pooled weighted items of all of them.  The
+adaptive window maintains an exponential histogram over a value stream
+and shrinks itself whenever two adjacent sub-windows have statistically
+distinct means, which doubles as a drift signal.
 """
 
 from __future__ import annotations
@@ -170,52 +171,62 @@ class KllSketch:
 
     # -- queries --------------------------------------------------------
 
-    def _weighted_items(self) -> tuple[np.ndarray, np.ndarray]:
-        v = np.fromiter(itertools.chain.from_iterable(self._levels),
-                        dtype=float, count=self._size)
-        w = np.repeat(2.0 ** np.arange(len(self._levels)),
-                      [len(lvl) for lvl in self._levels])
-        order = np.argsort(v, kind="stable")
-        return v[order], w[order]
-
-    def _quantile_of(self, v: np.ndarray, cum: np.ndarray, q: float) -> float:
-        target = max(q * self.n, 1.0)
-        idx = int(np.searchsorted(cum, target, side="left"))
-        idx = min(idx, len(v) - 1)
-        return float(v[idx])
-
-    @staticmethod
-    def _moments_of(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-        total = w.sum()
-        mean = float((w * v).sum() / total)
-        var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
-        return mean, math.sqrt(max(var, 0.0))
-
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         if self.n == 0:
             raise InsufficientHistoryError("empty sketch")
-        v, w = self._weighted_items()
-        return self._quantile_of(v, np.cumsum(w), q)
+        v, w = _weighted_items((self,))
+        return _quantile_of(v, np.cumsum(w), self.n, q)
 
     def moments(self) -> tuple[float, float]:
         """Gaussian fit (mean, std) from the weighted retained items."""
         if self.n < 2:
             raise InsufficientHistoryError("need at least 2 values for moments")
-        return self._moments_of(*self._weighted_items())
+        return _moments_of(*_weighted_items((self,)))
 
-    def describe(self, qs) -> tuple[list[float], float, float]:
-        """``[quantile(q) for q in qs]`` and ``moments()`` from one sort of
-        the retained items."""
-        if not all(0.0 <= q <= 1.0 for q in qs):
-            raise ValueError("q must be in [0, 1]")
-        if self.n < 2:
-            raise InsufficientHistoryError("need at least 2 values for moments")
-        v, w = self._weighted_items()
-        cum = np.cumsum(w)
-        return ([self._quantile_of(v, cum, q) for q in qs],
-                *self._moments_of(v, w))
+
+def _weighted_items(sketches) -> tuple[np.ndarray, np.ndarray]:
+    """Every retained item of the sketches, sorted, with its weight: an
+    item at level h of its sketch stands for 2^h inserted values."""
+    levels = [lvl for sk in sketches for lvl in sk._levels]
+    v = np.fromiter(itertools.chain.from_iterable(levels), dtype=float,
+                    count=sum(sk._size for sk in sketches))
+    heights = [h for sk in sketches for h in range(len(sk._levels))]
+    w = np.repeat(2.0 ** np.array(heights), [len(lvl) for lvl in levels])
+    order = np.argsort(v, kind="stable")
+    return v[order], w[order]
+
+
+def _quantile_of(v: np.ndarray, cum: np.ndarray, n: int, q: float) -> float:
+    target = max(q * n, 1.0)
+    idx = int(np.searchsorted(cum, target, side="left"))
+    idx = min(idx, len(v) - 1)
+    return float(v[idx])
+
+
+def _moments_of(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    total = w.sum()
+    mean = float((w * v).sum() / total)
+    var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def describe(sketches, qs) -> tuple[list[float], float, float]:
+    """Quantiles at ``qs`` and the Gaussian fit (mean, std) of the pooled
+    streams of ``sketches``, from one sort of their retained items.
+
+    Each item keeps its own sketch's weight, so nothing is compacted: one
+    sketch answers exactly as its ``quantile`` and ``moments`` do, and the
+    rank error of the pool is at most the largest of its sketches'."""
+    if not all(0.0 <= q <= 1.0 for q in qs):
+        raise ValueError("q must be in [0, 1]")
+    n = sum(sk.n for sk in sketches)
+    if n < 2:
+        raise InsufficientHistoryError("need at least 2 values for moments")
+    v, w = _weighted_items(sketches)
+    cum = np.cumsum(w)
+    return [_quantile_of(v, cum, n, q) for q in qs], *_moments_of(v, w)
 
 
 class AdwinWindow:

@@ -297,10 +297,16 @@ class TestCliErrors:
         ("tune", {"qarf": {"n_tree": [5]}}, False, None, 2),  # no tree takes
         ("tune", {"qarf": {"n_bins": [1]}}, False, None, 2),  # no split
         ("tune", {"qarf": {"tie_tau": [0.1]}}, False, None, 2),  # a constant
+        ("tune", {"qarf": {"subspace": [-1]}}, False, None, 2),
+        ("tune", {"qarf": {"subspace": [2.5]}}, False, None, 2),
+        ("tune", {"qarf": {"grace_period": [-5]}}, False, None, 2),
+        ("tune", {"qarf": {"grace_period": [2.5]}}, False, None, 2),
     ], ids=["unknown-param", "unknown-category", "all-diverge",
             "tuned-unknown-param", "tuned-diverges", "tuned-not-object",
             "fractional-count", "boolean-count", "forwarded-unknown-param",
-            "one-bin", "constant-param"])
+            "one-bin", "constant-param", "negative-subspace",
+            "fractional-subspace", "negative-grace-period",
+            "fractional-grace-period"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
                                          grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")

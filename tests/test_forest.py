@@ -13,11 +13,15 @@ from drivecast.exceptions import InsufficientHistoryError
 from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
 from drivecast.models import QuantileForest
 
-# recorded with one sketch insert per bag copy, pairwise sketch merges, two
-# descents per tree and separate drift-window scans; the faster paths must
-# reproduce it bit for bit
-GOLDEN_DIGEST = ("3748c7d3e1dec13bcd9cd482e2f49be1"
-                 "9180a356676a04cb0d52c5ca4b563f18")
+# every interval of the golden run; recorded when intervals came to be
+# read from the pooled leaf-sketch items instead of a union sketch
+GOLDEN_DIGEST = ("d7d590cfae4b0a9c22c4b4315edb1f76"
+                 "0e0a2bd96b39529a041da7e932273262")
+# the points alone; recorded with one sketch insert per bag copy, pairwise
+# sketch merges, two descents per tree and separate drift-window scans,
+# and no faster path or interval query may move them
+GOLDEN_POINTS_DIGEST = ("e09edfd1202b00fc84547275d603ee19"
+                        "9fa3c081d26d967a7449ba0f1977d34c")
 GOLDEN_COUNTS = (28, 31, 80)  # warnings, replacements, splits
 
 
@@ -63,6 +67,25 @@ class TestHoeffdingTree:
         assert isinstance(tree.root, _Node)
         assert tree.root.feature == 0
         assert abs(tree.root.threshold) < 1.0
+
+    @pytest.mark.parametrize("param, bad", [
+        ("grace_period", -5), ("grace_period", 0), ("grace_period", 2.5),
+        ("grace_period", True), ("subspace", -1), ("subspace", 0),
+        ("subspace", 2.5), ("subspace", True)])
+    def test_counts_checked_at_construction(self, param, bad):
+        """A grace period or subspace that is not a whole number >= 1
+        fails when the tree is built, not at its first split attempt."""
+        with pytest.raises(ValueError, match=param):
+            HoeffdingTree(3, **{param: bad})
+        with pytest.raises(ValueError, match=param):
+            AdaptiveForest(3, n_trees=2, **{param: bad})
+
+    def test_counts_accept_whole_floats_and_default_subspace(self):
+        tree = HoeffdingTree(9, grace_period=20.0, subspace=2.0)
+        assert (tree.grace_period, tree.subspace) == (20, 2)
+        assert type(tree.grace_period) is int and type(tree.subspace) is int
+        assert HoeffdingTree(9).subspace == HoeffdingTree(
+            9, subspace=None).subspace == 3
 
     def test_cold_predictions(self):
         tree = HoeffdingTree(2, seed=0)
@@ -191,7 +214,7 @@ class TestAdaptiveForest:
         for x, y in zip(xs, ys):
             forest.learn_one(x, y)
         test_x, test_y = threshold_stream(rng, 200)
-        errs = [abs(forest.predict_sketch(x)[0] - y)
+        errs = [abs(forest.predict_sketches(x)[0] - y)
                 for x, y in zip(test_x, test_y)]
         assert np.mean(errs) < 1.5
 
@@ -204,7 +227,7 @@ class TestAdaptiveForest:
             b.learn_one(x, y)
         probe = rng.normal(size=(20, 3))
         for p in probe:
-            assert a.predict_sketch(p)[0] == b.predict_sketch(p)[0]
+            assert a.predict_sketches(p)[0] == b.predict_sketches(p)[0]
 
     def test_drift_triggers_replacements(self):
         rng = np.random.default_rng(12)
@@ -230,11 +253,27 @@ class TestAdaptiveForest:
         xs2, ys2 = threshold_stream(rng, 400, flip=True)
         err_a = err_f = 0.0
         for x, y in zip(xs2, ys2):
-            err_a += abs(adaptive.predict_sketch(x)[0] - y)
-            err_f += abs(frozen.predict_sketch(x)[0] - y)
+            err_a += abs(adaptive.predict_sketches(x)[0] - y)
+            err_f += abs(frozen.predict_sketches(x)[0] - y)
             adaptive.learn_one(x, y)
             frozen.learn_one(x, y)
         assert err_a < err_f
+
+    def test_predict_sketches_are_the_populated_routed_leaves(self):
+        rng = np.random.default_rng(16)
+        forest = AdaptiveForest(3, n_trees=6, seed=5)
+        assert forest.predict_sketches(np.zeros(3)) == (0.0, [])
+        xs, ys = threshold_stream(rng, 300)
+        for x, y in zip(xs, ys):
+            forest.learn_one(x, y)
+        for p in rng.normal(size=(20, 3)):
+            point, sketches = forest.predict_sketches(p)
+            leaves = [tree._descend(p)[0] for tree in forest.trees]
+            assert [id(s) for s in sketches] == [
+                id(leaf.sketch) for leaf in leaves if leaf.sketch.n > 0]
+            assert point == np.mean([tree.predict_one(p)
+                                     for tree in forest.trees])
+            assert sum(s.n for s in sketches) == forest.merged_sketch(p).n
 
     def test_merged_sketch_needs_data(self):
         forest = AdaptiveForest(2, n_trees=3, seed=0)
@@ -310,19 +349,22 @@ class TestAdaptiveForest:
               + rng.normal(0, 0.5, 2000))
         ys[1000:] = 3.0 - ys[1000:]
         model = QuantileForest(3, seed=7, n_trees=4)
-        digest = hashlib.sha256()
+        digest, points = hashlib.sha256(), hashlib.sha256()
         for x, y in zip(xs, ys):
             try:
                 pi = model.predict_interval(x)
                 step = (pi.point, pi.lower, pi.upper, pi.sigma)
+                point = pi.point
             except InsufficientHistoryError:
-                step = None
+                step = point = None
             digest.update(repr(step).encode())
+            points.update(repr(point).encode())
             model.learn_one(x, y)
         forest = model.forest
         splits = sum(t.n_splits for t in forest.trees)
         assert (forest.n_warnings, forest.n_replacements,
                 splits) == GOLDEN_COUNTS
+        assert points.hexdigest() == GOLDEN_POINTS_DIGEST
         assert digest.hexdigest() == GOLDEN_DIGEST
 
 
@@ -334,7 +376,7 @@ class TestNonFiniteInput:
         (lambda: HoeffdingTree(3, seed=7, grace_period=20),
          HoeffdingTree.predict_one),
         (lambda: AdaptiveForest(3, n_trees=3, seed=7),
-         AdaptiveForest.predict_sketch)],
+         AdaptiveForest.predict_sketches)],
         ids=["tree", "forest"])
     def test_rejected_before_any_state_changes(self, make, predict, bad_x,
                                                bad_y):

@@ -3,6 +3,7 @@
 import copy
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
-from drivecast.streaming import AdwinWindow, KllSketch, update_many
+from drivecast.streaming import AdwinWindow, KllSketch, describe, update_many
 
 QS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
 
@@ -72,7 +73,7 @@ class TestKllSketch:
         sk = KllSketch(k=32, seed=3)
         for v in np.random.default_rng(3).normal(size=5000):
             sk.insert(v)
-        _, w = sk._weighted_items()
+        _, w = streaming._weighted_items([sk])
         assert w.sum() == sk.n == 5000
 
     def test_quantile_monotone_and_member(self):
@@ -185,8 +186,8 @@ class TestKllSketch:
         for v in np.random.default_rng(13).lognormal(size=700):
             sk.insert(v)
         qs = (0.05, 0.5, 0.95)
-        assert sk.describe(qs) == ([sk.quantile(q) for q in qs],
-                                   *sk.moments())
+        assert describe([sk], qs) == ([sk.quantile(q) for q in qs],
+                                      *sk.moments())
 
     def test_merge_mismatched_k_rejected(self):
         with pytest.raises(ValueError):
@@ -233,6 +234,93 @@ class TestKllSketch:
         for v in values:
             sk.insert(v)
         assert sk.quantile(q) in values
+
+
+def filled_sketches(rng, n_sketches):
+    """Sketches of assorted k and stream lengths, so their heights differ;
+    an empty one among them adds nothing to a pool."""
+    sketches = []
+    for i in range(n_sketches):
+        sk = KllSketch(k=int(rng.choice([8, 16, 32, 64])),
+                       seed=int(rng.integers(2 ** 31)))
+        for v in rng.normal(i, 1.0 + i, int(rng.integers(0, 3000))):
+            sk.insert(v)
+        sketches.append(sk)
+    return sketches
+
+
+def expanded(sketches) -> list[float]:
+    """Pure-Python reference for the pooled stream: every item of level h
+    repeated 2^h times, sorted."""
+    return sorted(v for sk in sketches for h, lvl in enumerate(sk._levels)
+                  for v in lvl for _ in range(2 ** h))
+
+
+def expanded_quantile(values, n, q):
+    """The reference's value at rank ceil(max(q * n, 1))."""
+    rank = math.ceil(max(q * n, 1.0))
+    return values[min(rank, len(values)) - 1]
+
+
+class TestDescribe:
+    """``describe`` answers for the pooled streams of several sketches
+    from their weighted retained items, with no compaction."""
+
+    @pytest.mark.parametrize("k, size", [(8, 2), (64, 5000), (32, 129)])
+    def test_one_sketch_equals_its_own_queries(self, k, size):
+        sk = KllSketch(k=k, seed=4)
+        for v in np.random.default_rng(13).lognormal(size=size):
+            sk.insert(v)
+        qs = (0.0, 0.05, 0.5, 0.95, 1.0)
+        assert describe([sk], qs) == ([sk.quantile(q) for q in qs],
+                                      *sk.moments())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pooled_quantiles_equal_expanded_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        sketches = filled_sketches(rng, int(rng.integers(2, 13)))
+        assert max(len(sk._levels) for sk in sketches) > 1
+        qs = list(np.linspace(0.0, 1.0, 41)) + [0.05, 0.95]
+        quantiles, mean, std = describe(sketches, qs)
+        values = expanded(sketches)
+        n = sum(sk.n for sk in sketches)
+        assert len(values) == n
+        assert quantiles == [expanded_quantile(values, n, q) for q in qs]
+        assert mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-9)
+        assert std == pytest.approx(np.std(values, ddof=1), rel=1e-9)
+
+    def test_pooled_inputs_are_untouched(self):
+        sketches = filled_sketches(np.random.default_rng(21), 6)
+        before = pickle.dumps(sketches)
+        describe(sketches, (0.05, 0.95))
+        assert pickle.dumps(sketches) == before
+
+    def test_disjoint_streams_rank_error(self):
+        rng = np.random.default_rng(6)
+        streams = [rng.normal(0, 1, 30_000), rng.normal(4, 2, 20_000),
+                   rng.lognormal(1.0, 0.5, 10_000)]
+        sketches = []
+        for i, data in enumerate(streams):
+            sk = KllSketch(k=200, seed=i + 1)
+            for v in data:
+                sk.insert(v)
+            sketches.append(sk)
+        pooled = np.sort(np.concatenate(streams))
+        quantiles, _, _ = describe(sketches, QS)
+        for q, answer in zip(QS, quantiles):
+            true_rank = np.searchsorted(pooled, answer, side="right")
+            assert abs(true_rank / len(pooled) - q) <= 0.02
+
+    def test_needs_two_values_and_valid_qs(self):
+        one = KllSketch(k=8)
+        one.insert(1.0)
+        for sketches in ([], [KllSketch(k=8)], [one, KllSketch(k=16)]):
+            with pytest.raises(InsufficientHistoryError):
+                describe(sketches, (0.5,))
+        two = [one, copy.deepcopy(one)]
+        assert describe(two, (0.5,)) == ([1.0], 1.0, 0.0)
+        with pytest.raises(ValueError):
+            describe(two, (1.5,))
 
 
 class TestAdwinWindow:
