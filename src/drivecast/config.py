@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 from .evaluation import DEFAULT_WARMUP, DEFAULT_WITHIN_TOL, TARGETS
 from .exceptions import ConfigError
@@ -109,6 +110,10 @@ def validate_config(cfg: dict) -> dict:
                               "distance_shift", "fraction"}
         if extra:
             raise ConfigError("synth.drift", f"unknown keys {sorted(extra)}")
+        for k, v in drift.items():
+            if isinstance(v, bool):
+                raise ConfigError(f"synth.drift.{k}",
+                                  "expected a number, got a boolean")
         if not isinstance(drift.get("day"), int) or drift["day"] < 0:
             raise ConfigError("synth.drift.day", "need a day index >= 0")
         duration = drift.get("duration")
@@ -169,13 +174,24 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError("config", f"{text} is not a finite number")
+    return value
+
+
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid with a JSON file and then explicit overrides."""
+    """Defaults, overlaid with a JSON file and then explicit overrides.
+
+    Every number in the file must be finite: NaN, Infinity and floats
+    too large for a double are rejected as they are parsed."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                user = json.load(fh, parse_float=_finite,
+                                 parse_constant=_finite)
         except FileNotFoundError:
             raise ConfigError("config", f"file not found: {path}") from None
         except json.JSONDecodeError as e:

@@ -319,7 +319,7 @@ def _fmt(v) -> str:
 
 
 def _parse_float(s: str, row: int, col: str) -> float:
-    if s is None or s.strip() == "":
+    if s.strip() == "":
         return NAN
     try:
         return float(s)
@@ -334,6 +334,20 @@ def _parse_dt(s: str, row: int, col: str) -> datetime:
         raise DataError(f"row {row}: bad timestamp in {col}: {s!r}") from None
 
 
+def _records(fh, columns: list[str], what: str):
+    """(row number, record) of every data row of a CSV with exactly the
+    header ``columns``; DataError names a row with a field too few or too
+    many."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames != columns:
+        raise DataError(f"unexpected {what} columns {reader.fieldnames}, "
+                        f"want {columns}")
+    for i, rec in enumerate(reader, start=2):
+        if None in rec or None in rec.values():
+            raise DataError(f"row {i}: want {len(columns)} fields")
+        yield i, rec
+
+
 def read_sessions_csv(path) -> dict[str, VehicleHistory]:
     """Parse a session stream; returns histories keyed by vehicle id.
 
@@ -342,16 +356,11 @@ def read_sessions_csv(path) -> dict[str, VehicleHistory]:
     """
     histories: dict[str, VehicleHistory] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SESSION_COLUMNS:
-            raise DataError(
-                f"unexpected session columns {reader.fieldnames}, "
-                f"want {SESSION_COLUMNS}")
-        for i, rec in enumerate(reader, start=2):
-            vid = (rec["vehicle_id"] or "").strip()
+        for i, rec in _records(fh, SESSION_COLUMNS, "session"):
+            vid = rec["vehicle_id"].strip()
             if not vid:
                 raise DataError(f"row {i}: missing vehicle_id")
-            kind = (rec["kind"] or "").strip()
+            kind = rec["kind"].strip()
             start = _parse_dt(rec["start_iso8601"], i, "start_iso8601")
             end = _parse_dt(rec["end_iso8601"], i, "end_iso8601")
             hist = histories.setdefault(vid, VehicleHistory(vid))
@@ -416,11 +425,7 @@ def write_daily_examples_csv(path, examples: list[DailyExample]) -> None:
 def read_daily_examples_csv(path) -> list[DailyExample]:
     out: list[DailyExample] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != EXAMPLE_COLUMNS:
-            raise DataError(
-                f"unexpected example columns {reader.fieldnames}")
-        for i, rec in enumerate(reader, start=2):
+        for i, rec in _records(fh, EXAMPLE_COLUMNS, "example"):
             feats: dict = {}
             for key in RAW_FEATURE_KEYS:
                 s = rec[key]

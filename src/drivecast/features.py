@@ -50,6 +50,9 @@ PART_OF_DAY_CATEGORIES = ("morning", "noon", "afternoon", "evening", "night")
 DRIVE_SIGNALS = ("speed_mean", "speed_std", "accel_mean", "accel_std",
                  "temp_mean", "sunload_mean", "soc_mean")
 
+# Days in ``target_run_avg``, the running average of the latest targets.
+RUN_AVG_WINDOW = 7
+
 
 def part_of_day(hour: float) -> str:
     if not 0.0 <= hour < 24.0:
@@ -337,7 +340,6 @@ class FeaturePipeline:
     """
 
     schema: FeatureSchema
-    window: int = 7
     _std: OnlineStandardizer = field(init=False)
     _target: RunningStats = field(init=False)
     _recent: deque = field(init=False)
@@ -346,12 +348,12 @@ class FeaturePipeline:
         self._std = OnlineStandardizer(self.schema.dim,
                                        self.schema.passthrough_mask())
         self._target = RunningStats()
-        self._recent = deque(maxlen=self.window)
+        self._recent = deque(maxlen=RUN_AVG_WINDOW)
 
     def with_target_averages(self, raw: dict) -> dict:
         """Copy of ``raw`` with the mean of every past target and of the
-        last ``window`` targets filled in; both are None before the first
-        target is known."""
+        last ``RUN_AVG_WINDOW`` targets filled in; both are None before
+        the first target is known."""
         raw = dict(raw)
         if self._target.count > 0:
             raw["target_hist_avg"] = self._target.mean

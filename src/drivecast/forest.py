@@ -231,28 +231,21 @@ class HoeffdingTree:
     # -- introspection --------------------------------------------------
 
     def _walk(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, _Node):
-                stack.extend((node.left, node.right))
-
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for n in self._walk() if isinstance(n, _Leaf))
-
-    @property
-    def depth(self) -> int:
-        best = 0
+        """Every node with its depth, the root at depth 0."""
         stack = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
+            yield node, d
             if isinstance(node, _Node):
                 stack.extend(((node.left, d + 1), (node.right, d + 1)))
-            else:
-                best = max(best, d)
-        return best
+
+    @property
+    def n_leaves(self) -> int:
+        return sum(1 for n, _ in self._walk() if isinstance(n, _Leaf))
+
+    @property
+    def depth(self) -> int:
+        return max(d for _, d in self._walk())
 
 
 class AdaptiveForest:

@@ -127,11 +127,11 @@ def select_well_behaving(examples_by_vehicle: dict[str, list[DailyExample]],
 
 
 def encode_batch(examples: list[DailyExample], schema: FeatureSchema,
-                 target: str, window: int = 7) -> tuple[np.ndarray, np.ndarray]:
+                 target: str) -> tuple[np.ndarray, np.ndarray]:
     """Causally encoded (X, y) for one vehicle, unstandardized, NaN where
     a value is missing.  The target-average columns see only past days,
     exactly as the online pipeline would provide them."""
-    pipeline = FeaturePipeline(schema, window)
+    pipeline = FeaturePipeline(schema)
     rows = []
     ys = []
     for ex in examples:

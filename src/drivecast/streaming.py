@@ -243,11 +243,11 @@ class AdwinWindow:
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         self.delta = float(delta)
-        self._cap = 64
-        # per bucket, oldest first: the count, sum and sum of squares
-        self._stats = np.zeros((3, self._cap))
+        # per bucket, oldest first: the count, sum and sum of squares; a
+        # count is always a power of two and counts never grow from oldest
+        # to newest, so a bucket's level is read from its count
+        self._stats = np.zeros((3, 64))
         self._rows = 0
-        self._level_counts: list[int] = []
         self.n_drifts = 0
 
     @property
@@ -260,51 +260,29 @@ class AdwinWindow:
         return total / count if count > 0 else 0.0
 
     def _grow(self) -> None:
-        self._cap *= 2
-        new = np.zeros((3, self._cap))
+        new = np.zeros((3, 2 * self._stats.shape[1]))
         new[:, : self._rows] = self._stats[:, : self._rows]
         self._stats = new
 
-    def _level_start(self, level: int) -> int:
-        # rows are ordered by level descending; level l starts after all
-        # higher-level blocks
-        return sum(self._level_counts[level + 1:])
-
-    def _append_new(self, v: float) -> None:
-        if self._rows == self._cap:
-            self._grow()
-        self._stats[:, self._rows] = (1.0, v, v * v)
-        self._rows += 1
-        if not self._level_counts:
-            self._level_counts.append(0)
-        self._level_counts[0] += 1
-
     def _compress(self) -> None:
-        # every level held at most _MAX_BUCKETS before the new bucket came
-        # in at level 0, and a merge adds one bucket to the next level
-        # only: the first level within bounds ends the cascade
-        level = 0
-        while self._level_counts[level] > _MAX_BUCKETS:
-            p = self._level_start(level)
-            # merge the two oldest buckets of this level into one of
-            # the next level; totals are unchanged
-            stats = self._stats
+        # every size had at most _MAX_BUCKETS buckets before the new bucket
+        # of size 1 came in, and a merge adds one bucket of the next size
+        # only: a size has overflowed exactly when the row _MAX_BUCKETS
+        # before the newest bucket of that size still holds that size
+        stats = self._stats
+        p, size = self._rows - _MAX_BUCKETS - 1, 1.0
+        while p >= 0 and stats[0, p] == size:
+            # merge the two oldest buckets of this size into one of the
+            # next size, which is then the newest of its size; totals are
+            # unchanged
             stats[:, p] += stats[:, p + 1]
             stats[:, p + 1: self._rows - 1] = stats[:, p + 2: self._rows]
             self._rows -= 1
-            self._level_counts[level] -= 2
-            if level + 1 == len(self._level_counts):
-                self._level_counts.append(0)
-            self._level_counts[level + 1] += 1
-            level += 1
+            p, size = p - _MAX_BUCKETS, 2 * size
 
     def _drop_oldest(self) -> None:
         self._stats[:, : self._rows - 1] = self._stats[:, 1: self._rows]
         self._rows -= 1
-        for level in range(len(self._level_counts) - 1, -1, -1):
-            if self._level_counts[level] > 0:
-                self._level_counts[level] -= 1
-                break
 
     def update(self, v: float, scan: bool = True) -> bool:
         """Insert one value; returns True when a distribution shift was cut.
@@ -312,7 +290,10 @@ class AdwinWindow:
         ``scan=False`` leaves the search for a cut to the caller, who runs
         it for many windows at once (see ``update_many``)."""
         v = float(v)
-        self._append_new(v)
+        if self._rows == self._stats.shape[1]:
+            self._grow()
+        self._stats[:, self._rows] = (1.0, v, v * v)
+        self._rows += 1
         self._compress()
         return scan and bool(_cut_windows([self]))
 
@@ -326,7 +307,6 @@ class AdwinWindow:
             "counts": counts,
             "sums": sums,
             "sumsqs": sumsqs,
-            "level_counts": list(self._level_counts),
             "n_drifts": self.n_drifts,
         }
 
@@ -364,12 +344,12 @@ def _cut_windows(windows) -> set:
 def _stack(windows) -> np.ndarray:
     """(window, statistic, row) stack of the windows' bucket counts, sums
     and sums of squares; rows past a window's own are left as they are."""
-    cap = max(w._cap for w in windows)
-    if all(w._cap == cap for w in windows):
+    cap = max(w._stats.shape[1] for w in windows)
+    if all(w._stats.shape[1] == cap for w in windows):
         return np.array([w._stats for w in windows])
     out = np.zeros((len(windows), 3, cap))
     for out_w, w in zip(out, windows):
-        out_w[:, :w._cap] = w._stats
+        out_w[:, :w._stats.shape[1]] = w._stats
     return out
 
 

@@ -83,6 +83,16 @@ class TestConfig:
          "tune.grids.qarf.tie_tau"),
         ({"tune": {"grids": {"qarf": {"sketch_k": [64]}}}},
          "tune.grids.qarf.sketch_k"),
+        # json writes and reads NaN and Infinity; a config may hold neither
+        ({"synth": {"drift": {"day": 1, "fraction": 1.0,
+                              "departure_shift": float("nan")}}}, "config"),
+        ({"evaluate": {"within_tol": {"departure": float("nan")}}}, "config"),
+        ({"synth": {"drift": {"day": 1, "duration": float("inf")}}},
+         "config"),
+        ({"evaluate": {"confidence": -float("inf")}}, "config"),
+        ({"synth": {"drift": {"day": True}}}, "synth.drift.day"),
+        ({"synth": {"drift": {"day": 1, "fraction": True}}},
+         "synth.drift.fraction"),
     ])
     def test_rejects_bad_values(self, tmp_path, bad, field):
         path = tmp_path / "c.json"

@@ -280,6 +280,8 @@ class TestCsvRoundTrips:
         "v1,drive,2024-03-04T08:00:00,2024-03-04T08:30:00,abc,,,,,,,,",
         ",drive,2024-03-04T08:00:00,2024-03-04T08:30:00,5,,,,,,,,",
         "v1,drive,2024-03-04T08:00:00,2024-03-04T07:30:00,5,,,,,,,,",
+        "v1,drive",  # fields missing
+        "v1,drive,2024-03-04T08:00:00,2024-03-04T08:30:00,5,,,,,,,,,",  # extra
     ])
     def test_bad_rows_name_the_row(self, tmp_path, row):
         p = tmp_path / "x.csv"

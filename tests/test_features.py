@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from drivecast.exceptions import DataError
 from drivecast.features import (
+    RUN_AVG_WINDOW,
     FeaturePipeline,
     FeatureSchema,
     FeatureSpec,
@@ -204,7 +205,7 @@ class TestFeaturePipeline:
     def make(self):
         schema = default_schema().subset(
             ["is_workday", "target_hist_avg", "target_run_avg"])
-        return FeaturePipeline(schema, window=3), schema
+        return FeaturePipeline(schema), schema
 
     def test_target_averages_track_history(self):
         pipe, schema = self.make()
@@ -219,13 +220,15 @@ class TestFeaturePipeline:
         pipe.update_target(10.0)
         raw = pipe.with_target_averages({"is_workday": 1.0})
         assert raw["target_hist_avg"] == raw["target_run_avg"] == 10.0
-        for y in (20.0, 30.0, 40.0):
+        targets = [10.0 * (i + 1) for i in range(RUN_AVG_WINDOW + 3)]
+        for y in targets[1:]:
             pipe.update_target(y)
 
         raw = pipe.with_target_averages({"is_workday": 1.0})
         assert raw["is_workday"] == 1.0
-        assert raw["target_hist_avg"] == pytest.approx(25.0)
-        assert raw["target_run_avg"] == pytest.approx(30.0)  # last 3
+        assert raw["target_hist_avg"] == pytest.approx(np.mean(targets))
+        assert raw["target_run_avg"] == pytest.approx(
+            np.mean(targets[-RUN_AVG_WINDOW:]))
 
     def test_standardized_averages_match_oracle(self):
         pipe, schema = self.make()

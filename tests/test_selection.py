@@ -8,7 +8,7 @@ import pytest
 
 from drivecast.data_model import DailyExample
 from drivecast.exceptions import ConfigError
-from drivecast.features import FeatureSchema, FeatureSpec
+from drivecast.features import RUN_AVG_WINDOW, FeatureSchema, FeatureSpec
 from drivecast.selection import (
     backward_sfs,
     combine_screens,
@@ -128,14 +128,15 @@ class TestEncodeBatch:
             FeatureSpec("target_hist_avg", "numeric", "target_hist_avg"),
             FeatureSpec("target_run_avg", "numeric", "target_run_avg"),
         ])
-        ys = [10.0, 14.0, 6.0, 12.0]
+        ys = [10.0, 14.0, 6.0, 12.0, 9.0, 15.0, 7.0, 11.0, 13.0, 8.0]
         examples = stream("v", ys, lambda d: {"a": float(d)})
-        x, y = encode_batch(examples, schema, "departure", window=2)
+        x, y = encode_batch(examples, schema, "departure")
         assert np.array_equal(y, ys)
         assert np.isnan(x[0, 1]) and np.isnan(x[0, 2])
-        for i in range(1, 4):
+        for i in range(1, len(ys)):
             assert x[i, 1] == pytest.approx(np.mean(ys[:i]))
-            assert x[i, 2] == pytest.approx(np.mean(ys[max(0, i - 2):i]))
+            assert x[i, 2] == pytest.approx(
+                np.mean(ys[max(0, i - RUN_AVG_WINDOW):i]))
 
     def test_distance_target(self):
         schema = abc_schema()

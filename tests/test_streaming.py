@@ -4,6 +4,7 @@ import copy
 import functools
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -338,9 +339,13 @@ class TestAdwinWindow:
         w = AdwinWindow(delta=0.002)
         for v in np.random.default_rng(1).normal(size=2000):
             w.update(v)
-            buckets = w.to_dict()
-            assert all(c <= 5 for c in buckets["level_counts"])
-            assert sum(buckets["counts"]) == w.width
+            counts = w.to_dict()["counts"]
+            # sizes are powers of two, oldest first never smaller, and at
+            # most five buckets of any one size
+            assert all(c >= 1 and math.log2(c).is_integer() for c in counts)
+            assert all(a >= b for a, b in zip(counts, counts[1:]))
+            assert max(Counter(counts).values()) <= 5
+            assert sum(counts) == w.width
 
     def test_detects_step_change_quickly(self):
         rng = np.random.default_rng(2)
