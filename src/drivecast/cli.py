@@ -63,42 +63,64 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _atomic(path: Path, write_fn) -> Path:
-    """Write through a sibling temp file so readers never see partials."""
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    os.replace(tmp, path)
-    return path
+class _Stage:
+    """One stage's run in ``out_root/name``: every file it reads goes
+    through ``read`` and every file it writes through ``write``, so the
+    manifest ``close`` writes lists exactly those files."""
 
+    def __init__(self, cfg: dict, out_root: Path, name: str):
+        self.cfg, self.root, self.name = cfg, out_root, name
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
-def _write_json(path: Path, obj) -> Path:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    return _atomic(path, lambda p: p.write_text(text))
+    def read(self, producer: str, name: str,
+             required: bool = True) -> Path | None:
+        """Path of ``producer``'s artifact ``name``, recorded as an input;
+        None when it is absent and not ``required``."""
+        path = self.root / producer / name
+        if not path.exists():
+            if not required:
+                return None
+            raise MissingArtifactError(
+                f"{path} does not exist; run the {producer!r} stage first")
+        self.inputs.append(path)
+        return path
 
+    def read_json(self, producer: str, name: str, parse,
+                  required: bool = True):
+        """``parse`` of a JSON artifact ``read`` finds; DataError names the
+        file when it is not JSON or not of the shape ``parse`` takes."""
+        path = self.read(producer, name, required)
+        if path is None:
+            return None
+        try:
+            return parse(json.loads(path.read_text()))
+        except (LookupError, TypeError, AttributeError, ValueError) as e:
+            raise DataError(f"{path}: malformed: {e!r}") from None
 
-def _write_manifest(stage_dir: Path, stage: str, cfg: dict,
-                    inputs: list[Path], outputs: list[Path]) -> None:
-    manifest = {
-        "stage": stage,
-        "seed": cfg["seed"],
-        "config_sha256": config_digest(cfg),
-        "inputs": {p.name: _sha256(p) for p in sorted(inputs)},
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
-    }
-    _write_json(stage_dir / "manifest.json", manifest)
+    def write(self, name: str, write_fn) -> Path:
+        """Write ``name`` through a sibling temp file, so readers never
+        see partials, and record it as an output."""
+        path = self.root / self.name / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(name + ".tmp")
+        write_fn(tmp)
+        os.replace(tmp, path)
+        self.outputs.append(path)
+        return path
 
+    def write_json(self, name: str, obj) -> Path:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return self.write(name, lambda p: p.write_text(text))
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"{path} does not exist; run the {producer!r} stage first")
-    return path
-
-
-def _stage_dir(out_root: Path, stage: str) -> Path:
-    d = out_root / stage
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    def close(self) -> None:
+        self.write_json("manifest.json", {
+            "stage": self.name,
+            "seed": self.cfg["seed"],
+            "config_sha256": config_digest(self.cfg),
+            "inputs": {p.name: _sha256(p) for p in sorted(self.inputs)},
+            "outputs": {p.name: _sha256(p) for p in sorted(self.outputs)},
+        })
 
 
 def _load_examples_by_vehicle(path: Path) -> dict:
@@ -106,6 +128,31 @@ def _load_examples_by_vehicle(path: Path) -> dict:
     for ex in read_daily_examples_csv(path):
         by_vehicle.setdefault(ex.vehicle_id, []).append(ex)
     return by_vehicle
+
+
+def _schema(data: dict) -> FeatureSchema:
+    """A selected schema: some of the default descriptors, in their order."""
+    schema = FeatureSchema.from_dict(data)
+    if not schema.specs or schema.to_dict() != \
+            default_schema().subset(schema.names).to_dict():
+        raise ValueError("schema is not a non-empty subset of the default")
+    return schema
+
+
+def _selection(data: dict, targets: list[str], by_vehicle: dict) -> dict:
+    """selection.json's cohorts, of examples.csv's vehicles, and the
+    schema of each target."""
+    cohort = data["cohort"]
+    for key in ("selected", "train", "validation"):
+        vids = cohort[key]
+        if not isinstance(vids, list) or not by_vehicle.keys() >= set(vids):
+            raise ValueError(f"cohort.{key} is not a list of vehicles "
+                             "of examples.csv")
+        if not vids and key != "validation":
+            raise ValueError(f"cohort.{key} is empty")
+    return {"cohort": cohort,
+            "schemas": {t: _schema(data["features"][t]["schema"])
+                        for t in targets}}
 
 
 # -- stages -------------------------------------------------------------
@@ -116,40 +163,40 @@ def stage_synth(cfg: dict, out_root: Path) -> None:
     fleet, truth = generate_fleet(
         n_regular=s["n_regular"], n_irregular=s["n_irregular"],
         n_days=s["n_days"], seed=cfg["seed"], drift=s["drift"])
-    d = _stage_dir(out_root, "synth")
-    sessions = _atomic(d / "sessions.csv",
-                       lambda p: write_sessions_csv(p, fleet))
-    truth_path = _write_json(d / "truth.json", truth)
-    _write_manifest(d, "synth", cfg, [], [sessions, truth_path])
+    st = _Stage(cfg, out_root, "synth")
+    sessions = st.write("sessions.csv",
+                        lambda p: write_sessions_csv(p, fleet))
+    st.write_json("truth.json", truth)
+    st.close()
     n_sessions = sum(len(h.trips) + len(h.charges) for h in fleet.values())
     print(f"synth: {len(fleet)} vehicles, {n_sessions} sessions "
           f"-> {sessions}")
 
 
 def stage_preprocess(cfg: dict, out_root: Path) -> None:
-    src = _require(out_root / "synth" / "sessions.csv", "synth")
-    fleet = read_sessions_csv(src)
+    st = _Stage(cfg, out_root, "preprocess")
+    fleet = read_sessions_csv(st.read("synth", "sessions.csv"))
     kept, dropped = preprocess_fleet(fleet)
     examples = []
     for vid in sorted(kept):
         examples.extend(build_daily_examples(kept[vid]))
-    d = _stage_dir(out_root, "preprocess")
-    ex_path = _atomic(d / "examples.csv",
-                      lambda p: write_daily_examples_csv(p, examples))
-    summary = _write_json(d / "summary.json", {
+    ex_path = st.write("examples.csv",
+                       lambda p: write_daily_examples_csv(p, examples))
+    st.write_json("summary.json", {
         "n_vehicles_in": len(fleet),
         "n_vehicles_kept": len(kept),
         "dropped": sorted(dropped),
         "n_examples": len(examples),
     })
-    _write_manifest(d, "preprocess", cfg, [src], [ex_path, summary])
+    st.close()
     print(f"preprocess: kept {len(kept)}/{len(fleet)} vehicles, "
           f"{len(examples)} daily examples -> {ex_path}")
 
 
 def stage_select(cfg: dict, out_root: Path) -> None:
-    src = _require(out_root / "preprocess" / "examples.csv", "preprocess")
-    by_vehicle = _load_examples_by_vehicle(src)
+    st = _Stage(cfg, out_root, "select")
+    by_vehicle = _load_examples_by_vehicle(
+        st.read("preprocess", "examples.csv"))
     sc = cfg["select"]
     cohort = select_well_behaving(by_vehicle, n_select=sc["n_select"],
                                   seed=cfg["seed"])
@@ -186,34 +233,29 @@ def stage_select(cfg: dict, out_root: Path) -> None:
         print(f"select: {target}: {len(final.names)} descriptors "
               f"({final.dim} columns) kept of {len(schema.names)}")
 
-    d = _stage_dir(out_root, "select")
-    sel_path = _write_json(d / "selection.json", {
+    sel_path = st.write_json("selection.json", {
         "cohort": cohort,
         "screen_vehicles": screen_vids,
         "features": features,
     })
-    _write_manifest(d, "select", cfg, [src], [sel_path])
+    st.close()
     print(f"select: {len(cohort['selected'])} vehicles "
           f"({len(cohort['train'])} tune / {len(cohort['validation'])} "
           f"holdout) -> {sel_path}")
 
 
-def _load_selection(out_root: Path) -> dict:
-    path = _require(out_root / "select" / "selection.json", "select")
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def stage_tune(cfg: dict, out_root: Path) -> None:
-    src = _require(out_root / "preprocess" / "examples.csv", "preprocess")
-    selection = _load_selection(out_root)
-    by_vehicle = _load_examples_by_vehicle(src)
+    st = _Stage(cfg, out_root, "tune")
+    by_vehicle = _load_examples_by_vehicle(
+        st.read("preprocess", "examples.csv"))
+    selection = st.read_json(
+        "select", "selection.json",
+        lambda data: _selection(data, cfg["evaluate"]["targets"], by_vehicle))
     vids = selection["cohort"]["train"][:cfg["tune"]["max_vehicles"]]
-    subset = {v: by_vehicle[v] for v in vids if v in by_vehicle}
+    subset = {v: by_vehicle[v] for v in vids}
     tuned: dict[str, dict] = {}
     for target in cfg["evaluate"]["targets"]:
-        schema = FeatureSchema.from_dict(
-            selection["features"][target]["schema"])
+        schema = selection["schemas"][target]
         tuned[target] = {}
         for kind in cfg["evaluate"]["models"]:
             grid = cfg["tune"]["grids"].get(kind)
@@ -226,41 +268,40 @@ def stage_tune(cfg: dict, out_root: Path) -> None:
                                    "mae": res["best_mae"]}
             print(f"tune: {kind}/{target}: best {res['best']} "
                   f"(mae {res['best_mae']:.4f})")
-    d = _stage_dir(out_root, "tune")
-    path = _write_json(d / "tuned.json", tuned)
-    _write_manifest(d, "tune", cfg,
-                    [src, out_root / "select" / "selection.json"], [path])
+    path = st.write_json("tuned.json", tuned)
+    st.close()
     print(f"tune: {len(vids)} vehicles -> {path}")
 
 
+def _tuned_params(data: dict) -> dict:
+    """tuned.json's params by (target, kind)."""
+    return {(target, kind): entry["params"]
+            for target, block in data.items()
+            for kind, entry in block.items()}
+
+
 def stage_evaluate(cfg: dict, out_root: Path) -> None:
-    src = _require(out_root / "preprocess" / "examples.csv", "preprocess")
-    selection = _load_selection(out_root)
-    by_vehicle = _load_examples_by_vehicle(src)
-    inputs = [src, out_root / "select" / "selection.json"]
-    tuned_path = out_root / "tune" / "tuned.json"
-    tuned: dict = {}
-    if tuned_path.exists():
-        with open(tuned_path) as fh:
-            tuned = json.load(fh)
-        inputs.append(tuned_path)
-    else:
+    ev = cfg["evaluate"]
+    st = _Stage(cfg, out_root, "evaluate")
+    by_vehicle = _load_examples_by_vehicle(
+        st.read("preprocess", "examples.csv"))
+    selection = st.read_json(
+        "select", "selection.json",
+        lambda data: _selection(data, ev["targets"], by_vehicle))
+    tuned = st.read_json("tune", "tuned.json", _tuned_params, required=False)
+    if tuned is None:
+        tuned = {}
         print("evaluate: no tuned.json, using model defaults",
               file=sys.stderr)
 
-    cohort = {v: by_vehicle[v]
-              for v in selection["cohort"]["selected"] if v in by_vehicle}
+    cohort = {v: by_vehicle[v] for v in selection["cohort"]["selected"]}
     validation = set(selection["cohort"]["validation"])
-    ev = cfg["evaluate"]
-    d = _stage_dir(out_root, "evaluate")
     results: dict[str, dict] = {}
-    outputs = []
     for target in ev["targets"]:
-        schema = FeatureSchema.from_dict(
-            selection["features"][target]["schema"])
+        schema = selection["schemas"][target]
         results[target] = {}
         for kind in ev["models"]:
-            hyper = tuned.get(target, {}).get(kind, {}).get("params", {})
+            hyper = tuned.get((target, kind), {})
             field = f"tuned.json {target}.{kind}"
             if not isinstance(hyper, dict):
                 raise ConfigError(f"{field}.params", "expected an object")
@@ -283,16 +324,14 @@ def stage_evaluate(cfg: dict, out_root: Path) -> None:
                     holdout_recs, ev["within_tol"][target])
             except ValueError:
                 res["validation_aggregate"] = None
-            rec_path = _atomic(
-                d / f"records_{kind}_{target}.csv",
-                lambda p, r=records: write_records_csv(p, r))
-            outputs.append(rec_path)
+            st.write(f"records_{kind}_{target}.csv",
+                     lambda p, r=records: write_records_csv(p, r))
             results[target][kind] = res
             agg = res["aggregate"]
             print(f"evaluate: {kind}/{target}: mae {agg['mae']:.4f} "
                   f"picp {agg['picp']:.3f} over {agg['n_scored']} days")
-    res_path = _write_json(d / "results.json", results)
-    _write_manifest(d, "evaluate", cfg, inputs, [res_path, *outputs])
+    res_path = st.write_json("results.json", results)
+    st.close()
     print(f"evaluate: -> {res_path}")
 
 
@@ -309,10 +348,8 @@ def _metric_table(block: dict, models: list[str]) -> list[str]:
     return lines
 
 
-def stage_report(cfg: dict, out_root: Path) -> None:
-    res_path = _require(out_root / "evaluate" / "results.json", "evaluate")
-    with open(res_path) as fh:
-        results = json.load(fh)
+def _report(cfg: dict, results: dict) -> str:
+    """report.md rendered from results.json."""
     ev = cfg["evaluate"]
     lines = [
         "# First-drive prediction report",
@@ -351,10 +388,15 @@ def stage_report(cfg: dict, out_root: Path) -> None:
             lines.append(f"| {pt['day_index']} | {pt['mae']:.4f} "
                          f"| {pt['n']} |")
         lines.append("")
-    d = _stage_dir(out_root, "report")
-    path = _atomic(d / "report.md",
-                   lambda p: p.write_text("\n".join(lines)))
-    _write_manifest(d, "report", cfg, [res_path], [path])
+    return "\n".join(lines)
+
+
+def stage_report(cfg: dict, out_root: Path) -> None:
+    st = _Stage(cfg, out_root, "report")
+    text = st.read_json("evaluate", "results.json",
+                        lambda results: _report(cfg, results))
+    path = st.write("report.md", lambda p: p.write_text(text))
+    st.close()
     print(f"report: -> {path}")
 
 

@@ -93,8 +93,25 @@ def check_model_param(field: str, kind: str, param: str, value) -> None:
         raise ConfigError(field, str(e)) from None
 
 
+def _check_finite(node, field: str) -> None:
+    """ConfigError naming the first NaN or infinite float under ``node``."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(field, f"must be a finite number, got {node}")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{field}.{key}" if field else str(key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{field}[{i}]")
+
+
 def validate_config(cfg: dict) -> dict:
-    """Type- and range-check every option; returns the config unchanged."""
+    """Type- and range-check every option; returns the config unchanged.
+
+    No float anywhere in it may be NaN or infinite: Python's json reads
+    NaN, Infinity and numbers too large for a double, and no setting
+    means anything by them."""
+    _check_finite(cfg, "")
     _need(cfg, "seed", int, low=0)
     _need(cfg, "out_dir", str)
     _need(cfg, "synth.n_regular", int, low=0)
@@ -174,24 +191,13 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError("config", f"{text} is not a finite number")
-    return value
-
-
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Defaults, overlaid with a JSON file and then explicit overrides.
-
-    Every number in the file must be finite: NaN, Infinity and floats
-    too large for a double are rejected as they are parsed."""
+    """Defaults, overlaid with a JSON file and then explicit overrides."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh, parse_float=_finite,
-                                 parse_constant=_finite)
+                user = json.load(fh)
         except FileNotFoundError:
             raise ConfigError("config", f"file not found: {path}") from None
         except json.JSONDecodeError as e:

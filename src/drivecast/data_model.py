@@ -319,12 +319,16 @@ def _fmt(v) -> str:
 
 
 def _parse_float(s: str, row: int, col: str) -> float:
+    """A finite number, or NaN for a blank (missing) field."""
     if s.strip() == "":
         return NAN
     try:
-        return float(s)
+        v = float(s)
     except ValueError:
-        raise DataError(f"row {row}: bad number in {col}: {s!r}") from None
+        v = NAN
+    if not math.isfinite(v):
+        raise DataError(f"row {row}: bad number in {col}: {s!r}")
+    return v
 
 
 def _parse_dt(s: str, row: int, col: str) -> datetime:

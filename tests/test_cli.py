@@ -85,11 +85,13 @@ class TestConfig:
          "tune.grids.qarf.sketch_k"),
         # json writes and reads NaN and Infinity; a config may hold neither
         ({"synth": {"drift": {"day": 1, "fraction": 1.0,
-                              "departure_shift": float("nan")}}}, "config"),
-        ({"evaluate": {"within_tol": {"departure": float("nan")}}}, "config"),
+                              "departure_shift": float("nan")}}},
+         "synth.drift.departure_shift"),
+        ({"evaluate": {"within_tol": {"departure": float("nan")}}},
+         "evaluate.within_tol.departure"),
         ({"synth": {"drift": {"day": 1, "duration": float("inf")}}},
-         "config"),
-        ({"evaluate": {"confidence": -float("inf")}}, "config"),
+         "synth.drift.duration"),
+        ({"evaluate": {"confidence": -float("inf")}}, "evaluate.confidence"),
         ({"synth": {"drift": {"day": True}}}, "synth.drift.day"),
         ({"synth": {"drift": {"day": 1, "fraction": True}}},
          "synth.drift.fraction"),
@@ -100,6 +102,33 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.field.startswith(field.split(".")[0])
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"evaluate": {"confidence": 1e999}}', "evaluate.confidence"),
+        ('{"tune": {"grids": {"qr": {"lr": [0.1, NaN]}}}}',
+         "tune.grids.qr.lr[1]"),
+        ('{"synth": {"drift": {"day": 1, "distance_shift": -Infinity}}}',
+         "synth.drift.distance_shift"),
+    ])
+    def test_rejects_non_finite_text(self, tmp_path, text, field):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config(path)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"evaluate": {"within_tol": {"departure": float("nan"),
+                                      "distance": 5.0}}},
+         "evaluate.within_tol.departure"),
+        ({"synth": {"drift": {"day": 1, "departure_shift": float("nan"),
+                              "fraction": 1.0}}},
+         "synth.drift.departure_shift"),
+    ])
+    def test_overrides_must_be_finite(self, overrides, field):
+        with pytest.raises(ConfigError, match="finite") as err:
+            load_config(None, overrides)
+        assert err.value.field == field
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -184,6 +213,39 @@ class TestPipeline:
             path = tmp_path / "out" / stage / name
             got = hashlib.sha256(path.read_bytes()).hexdigest()
             assert manifest["inputs"][name] == got, name
+
+    @pytest.mark.parametrize("stage, inputs", [
+        ("synth", []),
+        ("preprocess", ["synth/sessions.csv"]),
+        ("select", ["preprocess/examples.csv"]),
+        ("tune", ["preprocess/examples.csv", "select/selection.json"]),
+        ("evaluate", ["preprocess/examples.csv", "select/selection.json",
+                      "tune/tuned.json"]),
+        ("report", ["evaluate/results.json"]),
+    ])
+    def test_manifest_is_exact(self, pipeline_run, stage, inputs):
+        """A manifest hashes every file its stage read, and every file
+        in the stage directory but itself."""
+        out = pipeline_run[0] / "out"
+        manifest = json.loads((out / stage / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            Path(rel).name: hashlib.sha256((out / rel).read_bytes())
+            .hexdigest() for rel in inputs}
+        assert manifest["outputs"] == {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out / stage).iterdir() if p.name != "manifest.json"}
+
+    def test_evaluate_without_tune_reads_no_tuned_json(self, pipeline_run,
+                                                        tmp_path, capsys):
+        shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
+        shutil.rmtree(tmp_path / "out" / "tune")
+        cfg = write_config(tmp_path)
+        assert main(["evaluate", "--config", str(cfg), "--models", "mean",
+                     "--targets", "departure"]) == 0
+        assert "no tuned.json" in capsys.readouterr().err
+        manifest = json.loads(
+            (tmp_path / "out" / "evaluate" / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"examples.csv", "selection.json"}
 
     def test_results_structure(self, pipeline_run):
         tmp_path, _ = pipeline_run
@@ -282,6 +344,43 @@ class TestCliErrors:
         sessions.write_text("\n".join(lines) + "\n")
         assert main(["preprocess", "--config", str(cfg)]) == 4
         assert "data error" in capsys.readouterr().err
+
+    def test_non_finite_session_number_is_exit_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        sessions = tmp_path / "out" / "synth" / "sessions.csv"
+        lines = sessions.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if ",drive," in line)
+        parts = lines[row].split(",")
+        parts[4] = "inf"  # distance_km
+        lines[row] = ",".join(parts)
+        sessions.write_text("\n".join(lines) + "\n")
+        assert main(["preprocess", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert f"row {row + 1}: bad number in distance_km: 'inf'" in err
+        assert not (tmp_path / "out" / "preprocess").exists()
+
+    @pytest.mark.parametrize("stage, rel, text", [
+        ("tune", "select/selection.json", "{}"),
+        ("tune", "select/selection.json", "[1]"),
+        ("evaluate", "select/selection.json", '{"cohort": {}}'),
+        ("evaluate", "tune/tuned.json", "[]"),
+        ("report", "evaluate/results.json", "{}"),
+        ("report", "evaluate/results.json", '{"departure": {}}'),
+        ("tune", "select/selection.json", "{not json"),
+        ("evaluate", "tune/tuned.json", "{not json"),
+        ("report", "evaluate/results.json", "{not json"),
+    ])
+    def test_malformed_artifact_is_exit_4(self, pipeline_run, tmp_path,
+                                          capsys, stage, rel, text):
+        shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
+        (tmp_path / "out" / rel).write_text(text)
+        cfg = write_config(tmp_path)
+        assert main([stage, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert f"data error: {tmp_path / 'out' / rel}: malformed" in err
 
     def test_model_filter(self, tmp_path):
         cfg = write_config(tmp_path)

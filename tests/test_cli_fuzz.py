@@ -1,7 +1,8 @@
 """Fuzzed CLI inputs: every outcome is a documented exit code.
 
-Corrupt session and example CSVs and random synth settings must end in
-exit 0, 2, 3 or 4; a failure prints one stderr line and no traceback."""
+Corrupt session and example CSVs, corrupt selection, tuning and results
+JSON, and random synth settings must end in exit 0, 2, 3 or 4; a
+failure prints one stderr line and no traceback."""
 
 import contextlib
 import io
@@ -38,6 +39,14 @@ JUNK_FIELDS = st.one_of(
 EDITS = st.tuples(
     st.sampled_from(["replace", "truncate", "drop", "double"]),
     st.integers(0, 10_000), st.integers(0, 30), JUNK_FIELDS)
+
+# one edit of a JSON artifact: the value at the end of a random path
+# replaced by junk or deleted, or the text cut short
+JSON_JUNK = st.sampled_from([None, True, 0, -1, 2.5, float("nan"), "", "x",
+                             "\n", [], [1], {}, {"x": 1}])
+JSON_EDITS = st.tuples(st.sampled_from(["replace", "delete", "cut"]),
+                       st.lists(st.integers(0, 10_000), max_size=6),
+                       JSON_JUNK)
 
 # values a config setting plausibly holds: mostly small numbers, some
 # NaN, Infinity, huge floats, booleans, nulls and strings
@@ -101,20 +110,46 @@ def corrupt(path: Path, edits) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def corrupt_json(path: Path, edits) -> None:
+    for op, steps, junk in edits:
+        text = path.read_text()
+        if op == "cut":
+            path.write_text(text[:sum(steps) % (len(text) + 1)])
+            continue
+        try:
+            box = [json.loads(text)]
+        except ValueError:
+            continue  # an earlier cut left no JSON to edit
+        parent, key = box, 0
+        for step in steps:
+            node = parent[key]
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, keys[step % len(keys)]
+        if op == "replace":
+            parent[key] = junk
+        else:
+            del parent[key]
+        path.write_text(json.dumps(box[0]) if box else "")
+
+
 @pytest.fixture(scope="module")
 def tiny_fleet(tmp_path_factory):
-    """Synth and preprocess outputs of a four-vehicle, 40-day fleet."""
+    """Every stage's outputs on a four-vehicle, 40-day fleet."""
     root = tmp_path_factory.mktemp("fuzz")
-    for stage in ("synth", "preprocess"):
+    for stage in ("synth", "preprocess", "select", "tune", "evaluate",
+                  "report"):
         assert run_cli(stage, TINY, root) == (0, "")
     return root / "out"
 
 
-def stage_on_corrupt(tiny_fleet, stage: str, rel: str, edits):
+def stage_on_corrupt(tiny_fleet, stage: str, rel: str, edits,
+                     corrupt_fn=corrupt):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copytree(tiny_fleet, tmp / "out")
-        corrupt(tmp / "out" / rel, edits)
+        corrupt_fn(tmp / "out" / rel, edits)
         return run_cli(stage, TINY, tmp)
 
 
@@ -130,6 +165,19 @@ def test_corrupt_sessions_preprocess(tiny_fleet, edits):
 def test_corrupt_examples_select(tiny_fleet, edits):
     assert_documented(*stage_on_corrupt(
         tiny_fleet, "select", "preprocess/examples.csv", edits))
+
+
+@pytest.mark.parametrize("stage, rel", [
+    ("tune", "select/selection.json"),
+    ("evaluate", "select/selection.json"),
+    ("evaluate", "tune/tuned.json"),
+    ("report", "evaluate/results.json"),
+])
+@FUZZ
+@given(edits=st.lists(JSON_EDITS, min_size=1, max_size=3))
+def test_corrupt_json_artifacts(tiny_fleet, stage, rel, edits):
+    assert_documented(*stage_on_corrupt(tiny_fleet, stage, rel, edits,
+                                        corrupt_json))
 
 
 @FUZZ

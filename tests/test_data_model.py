@@ -292,6 +292,21 @@ class TestCsvRoundTrips:
         with pytest.raises(DataError, match="row 2|missing vehicle_id"):
             read_sessions_csv(p)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e309"])
+    @pytest.mark.parametrize("col", ["distance_km", "soc_mean"])
+    def test_non_finite_numbers_name_row_and_column(self, tmp_path, text,
+                                                    col):
+        hist = VehicleHistory("v1", [trip(T0, 25, soc_mean=50.0)])
+        path = tmp_path / "sessions.csv"
+        write_sessions_csv(path, {"v1": hist})
+        head, row = path.read_text().splitlines()
+        fields = row.split(",")
+        fields[head.split(",").index(col)] = text
+        path.write_text(f"{head}\n{','.join(fields)}\n")
+        with pytest.raises(DataError,
+                           match=f"row 2: bad number in {col}: '{text}'"):
+            read_sessions_csv(path)
+
     def test_daily_examples_roundtrip(self, tmp_path):
         hist = TestDailyExamples().make_history()[0]
         exs = build_daily_examples(hist)
