@@ -41,6 +41,7 @@ from .features import FeatureSchema, default_schema
 from .selection import (
     backward_sfs,
     combine_screens,
+    encode_batch,
     forward_sfs,
     grid_search,
     pearson_screen,
@@ -130,18 +131,18 @@ def _load_examples_by_vehicle(path: Path) -> dict:
     return by_vehicle
 
 
-def _schema(data: dict) -> FeatureSchema:
+def _schema(names: list) -> FeatureSchema:
     """A selected schema: some of the default descriptors, in their order."""
-    schema = FeatureSchema.from_dict(data)
-    if not schema.specs or schema.to_dict() != \
-            default_schema().subset(schema.names).to_dict():
-        raise ValueError("schema is not a non-empty subset of the default")
+    schema = default_schema().subset(names)
+    if not names or schema.names != names:
+        raise ValueError("descriptors are not a non-empty subset of the "
+                         "default, in its order")
     return schema
 
 
 def _selection(data: dict, targets: list[str], by_vehicle: dict) -> dict:
     """selection.json's cohorts, of examples.csv's vehicles, and the
-    schema of each target."""
+    schema each target's descriptors name."""
     cohort = data["cohort"]
     for key in ("selected", "train", "validation"):
         vids = cohort[key]
@@ -151,7 +152,7 @@ def _selection(data: dict, targets: list[str], by_vehicle: dict) -> dict:
         if not vids and key != "validation":
             raise ValueError(f"cohort.{key} is empty")
     return {"cohort": cohort,
-            "schemas": {t: _schema(data["features"][t]["schema"])
+            "schemas": {t: _schema(data["features"][t]["descriptors"])
                         for t in targets}}
 
 
@@ -209,11 +210,13 @@ def stage_select(cfg: dict, out_root: Path) -> None:
     schema = default_schema()
     features: dict[str, dict] = {}
     for target in cfg["evaluate"]["targets"]:
-        pearson = pearson_screen(screen_set, schema, target)
-        forward = forward_sfs(screen_set, schema, target)
+        encoded = [encode_batch(ex, schema, target)
+                   for ex in screen_set.values()]
+        pearson = pearson_screen(encoded, schema)
+        forward = forward_sfs(encoded, schema)
         combined = combine_screens(schema, pearson["weak"],
                                    forward["selected"])
-        pruned = vif_prune(screen_set, combined, target)
+        pruned = vif_prune(encoded, schema, combined.names)
         final = pruned["schema"]
         backward_removed: list[str] = []
         if sc["run_backward"]:
@@ -227,7 +230,7 @@ def stage_select(cfg: dict, out_root: Path) -> None:
             "forward": forward,
             "vif_dropped": pruned["dropped"],
             "backward_removed": backward_removed,
-            "schema": final.to_dict(),
+            "descriptors": final.names,
             "n_features": final.dim,
         }
         print(f"select: {target}: {len(final.names)} descriptors "

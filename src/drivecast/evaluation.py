@@ -19,7 +19,7 @@ from datetime import date
 import numpy as np
 
 from .data_model import DailyExample
-from .exceptions import DataError, InsufficientHistoryError
+from .exceptions import ConfigError, DataError, InsufficientHistoryError
 from .features import FeaturePipeline, FeatureSchema, RunningStats
 from .models import MODEL_KINDS, OnlineModel, PredictionInterval, make_model
 
@@ -161,7 +161,8 @@ def evaluate_fleet(examples_by_vehicle: dict[str, list[DailyExample]],
 
     Each vehicle gets its own model instance and pipeline, seeded
     independently of fleet composition.  Returns (results, records);
-    results is JSON-ready.
+    results is JSON-ready.  ConfigError on ``evaluate.warmup`` when the
+    warm-up covers every vehicle's whole stream.
     """
     if within_tol is None:
         within_tol = DEFAULT_WITHIN_TOL[target]
@@ -183,6 +184,9 @@ def evaluate_fleet(examples_by_vehicle: dict[str, list[DailyExample]],
             per_vehicle[vid] = compute_metrics(records, within_tol)
         except ValueError:
             pass  # vehicle entirely inside warm-up; pooled check below
+    if all(r.warmup for r in all_records):
+        raise ConfigError("evaluate.warmup", f"no vehicle has a day after "
+                          f"the {warmup}-day warm-up to score")
     aggregate = compute_metrics(all_records, within_tol)
     results = {
         "model": kind,

@@ -33,8 +33,6 @@ import numpy as np
 
 from .exceptions import DataError
 
-SCHEMA_FORMAT_VERSION = 1
-
 # Ordered bins mapping hour-of-day to a coarse daypart category.
 PART_OF_DAY_BINS = (
     ("night", 0.0, 6.0),
@@ -125,9 +123,6 @@ class FeatureSchema:
             out.extend(s.columns)
         return out
 
-    def group_slice(self, name: str) -> slice:
-        return self._slices[name]
-
     def column_index(self, names: list[str]) -> np.ndarray:
         """Indices of the named descriptors' columns, in the order given."""
         return np.array([j for n in names
@@ -174,29 +169,6 @@ class FeatureSchema:
                 x[sl.start] = math.sin(phase)
                 x[sl.start + 1] = math.cos(phase)
         return x
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SCHEMA_FORMAT_VERSION,
-            "specs": [
-                {
-                    "name": s.name, "kind": s.kind, "source": s.source,
-                    "period": s.period, "offset": s.offset,
-                    "categories": list(s.categories),
-                }
-                for s in self.specs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureSchema":
-        if data.get("version") != SCHEMA_FORMAT_VERSION:
-            raise ValueError(f"unsupported schema format: {data.get('version')}")
-        return cls([
-            FeatureSpec(d["name"], d["kind"], d["source"], d["period"],
-                        d["offset"], tuple(d["categories"]))
-            for d in data["specs"]
-        ])
 
 
 def default_schema() -> FeatureSchema:

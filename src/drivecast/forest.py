@@ -27,6 +27,8 @@ forest takes its own and hands every other keyword to its trees.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 
 import numpy as np
@@ -354,12 +356,15 @@ class AdaptiveForest:
         return [leaf.sketch for leaf in leaves if leaf.sketch.n > 0]
 
     def merged_sketch(self, x) -> KllSketch:
-        """Union sketch of the targets in every tree's routed leaf."""
+        """Sketch of the targets in every tree's routed leaf: ``merge``
+        folded over the populated leaves in tree order, starting from a
+        copy of the first, so no leaf's own sketch is handed out."""
         sketches = self._populated(
             self._leaves(check_features(x, self.n_features)))
         if not sketches:
             raise InsufficientHistoryError("no populated leaves for this input")
-        return KllSketch.union(sketches)
+        return functools.reduce(KllSketch.merge, sketches[1:],
+                                copy.deepcopy(sketches[0]))
 
     def predict_sketches(self, x) -> tuple[float, list[KllSketch]]:
         """The mean of every tree's prediction for x, and the sketches of

@@ -157,16 +157,16 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pearson_screen(examples_by_vehicle: dict[str, list[DailyExample]],
-                   schema: FeatureSchema, target: str,
+def pearson_screen(encoded: list[tuple[np.ndarray, np.ndarray]],
+                   schema: FeatureSchema,
                    threshold: float = PEARSON_THRESHOLD) -> dict:
     """Average per-vehicle Pearson correlation of every encoded column
-    with the target.  A descriptor is weak when every one of its columns
+    with the target, from one ``encode_batch`` pair per vehicle under
+    ``schema``.  A descriptor is weak when every one of its columns
     averages inside the threshold."""
     sums = np.zeros(schema.dim)
     counts = np.zeros(schema.dim)
-    for examples in examples_by_vehicle.values():
-        x, y = encode_batch(examples, schema, target)
+    for x, y in encoded:
         if len(y) < 3 or y.std() <= 1e-12:
             continue
         for j in range(schema.dim):
@@ -180,18 +180,15 @@ def pearson_screen(examples_by_vehicle: dict[str, list[DailyExample]],
             counts[j] += 1
     avg = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     per_column = {col: float(avg[j]) for j, col in enumerate(schema.columns)}
-    weak = []
-    for spec in schema.specs:
-        sl = schema.group_slice(spec.name)
-        if np.all(np.abs(avg[sl]) < threshold):
-            weak.append(spec.name)
+    weak = [name for name in schema.names
+            if np.all(np.abs(avg[schema.column_index([name])]) < threshold)]
     return {"per_column": per_column, "weak": weak, "threshold": threshold}
 
 
 # -- wrapper selection --------------------------------------------------
 
 
-def _pooled_ls_mae(zs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
+def _pooled_ls_mae(zs: list[tuple[np.ndarray, np.ndarray]],
                    cols: np.ndarray) -> float:
     """Temporal-holdout MAE of per-vehicle least-squares fits on the
     ``cols`` of each vehicle's standardized matrix.
@@ -201,7 +198,7 @@ def _pooled_ls_mae(zs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
     helps the score if it generalizes forward in time."""
     total_err = 0.0
     total_n = 0
-    for z, y in zs_by_vehicle.values():
+    for z, y in zs:
         a = np.hstack([z[:, cols], np.ones((len(z), 1))])
         cut = len(y) - int(LS_HOLDOUT_FRACTION * len(y))
         if cut < 2 or cut >= len(y):
@@ -212,18 +209,16 @@ def _pooled_ls_mae(zs_by_vehicle: dict[str, tuple[np.ndarray, np.ndarray]],
     return total_err / total_n if total_n else math.inf
 
 
-def forward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
-                schema: FeatureSchema, target: str) -> dict:
+def forward_sfs(encoded: list[tuple[np.ndarray, np.ndarray]],
+                schema: FeatureSchema) -> dict:
     """Greedy forward selection of descriptors against a least-squares
     scorer.  One-hot and sine/cosine groups move as a unit.  A step is
     only taken when it improves the pooled holdout MAE by at least the
     ``SFS_MIN_GAIN`` relative margin, so chance-level fluctuations from
-    irrelevant columns do not extend the selection.  Each vehicle is
-    encoded and standardized once: both work column by column."""
-    cache = {}
-    for vid, ex in examples_by_vehicle.items():
-        x, y = encode_batch(ex, schema, target)
-        cache[vid] = (_standardize_columns(x), y)
+    irrelevant columns do not extend the selection.  Each vehicle's
+    ``encode_batch`` pair under ``schema`` is standardized once, which
+    works column by column, and every candidate scores columns of it."""
+    zs = [(_standardize_columns(x), y) for x, y in encoded]
     chosen: list[str] = []
     remaining = list(schema.names)
     best_score = math.inf
@@ -233,7 +228,7 @@ def forward_sfs(examples_by_vehicle: dict[str, list[DailyExample]],
         step_score = best_score
         for name in remaining:  # schema order, so ties keep earlier names
             # columns in the order chosen, as the scorer's fit sees them
-            score = _pooled_ls_mae(cache, schema.column_index(chosen + [name]))
+            score = _pooled_ls_mae(zs, schema.column_index(chosen + [name]))
             if score < step_score * (1.0 - SFS_MIN_GAIN):
                 step_score = score
                 step_best = name
@@ -266,24 +261,24 @@ def vif_scores(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def vif_prune(examples_by_vehicle: dict[str, list[DailyExample]],
-              schema: FeatureSchema, target: str) -> dict:
-    """Iteratively drop the descriptor owning the worst-inflated column
-    while its VIF exceeds ``VIF_THRESHOLD``.
+def vif_prune(encoded: list[tuple[np.ndarray, np.ndarray]],
+              schema: FeatureSchema, names: list[str]) -> dict:
+    """Iteratively drop the descriptor among ``names`` owning the
+    worst-inflated column while its VIF exceeds ``VIF_THRESHOLD``.
 
     One-hot groups are exempt: their columns are mutually exclusive
     indicators whose joint collinearity with the intercept is structural,
-    not a sign of redundant information.  The stacked cohort is encoded
-    and standardized once; both work column by column, so every round
-    scores exactly the columns a re-encoding would give.
+    not a sign of redundant information.  ``encoded`` holds one
+    ``encode_batch`` pair per vehicle under the whole ``schema``; the
+    stacked cohort is standardized once, which works column by column,
+    so every round scores exactly the columns an encoding under the
+    named descriptors alone would give.
     """
-    numeric = [s.name for s in schema.specs if s.kind != "onehot"]
+    numeric = [s.name for s in schema.subset(names).specs
+               if s.kind != "onehot"]
     dropped: list[str] = []
     if len(numeric) >= 2:
-        z = _standardize_columns(np.vstack([
-            encode_batch(ex, schema, target)[0]
-            for ex in examples_by_vehicle.values()
-        ]))
+        z = _standardize_columns(np.vstack([x for x, _ in encoded]))
     while len(numeric) >= 2:
         cols = schema.column_index(numeric)
         vifs = vif_scores(z[:, cols])
@@ -294,7 +289,7 @@ def vif_prune(examples_by_vehicle: dict[str, list[DailyExample]],
                       if cols[worst] in schema.column_index([n]))
         dropped.append(victim)
         numeric.remove(victim)
-    work = schema.subset([n for n in schema.names if n not in dropped])
+    work = schema.subset([n for n in names if n not in dropped])
     return {"schema": work, "dropped": dropped}
 
 

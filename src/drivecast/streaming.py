@@ -125,8 +125,9 @@ class KllSketch:
         return survivors
 
     def _absorb(self, other: "KllSketch") -> None:
-        """Fold ``other`` into this sketch, as ``merge`` does into a fresh
-        one: same combined seed, same level order, same compactions."""
+        """Fold ``other`` into this sketch: the seeds combine, each of
+        ``other``'s levels joins the level of its height, and full levels
+        compact."""
         if self.k != other.k:
             raise ValueError("cannot merge sketches with different k")
         self.seed = (self.seed ^ other.seed ^ 0x9E3779B9) & 0x7FFFFFFF
@@ -144,22 +145,6 @@ class KllSketch:
         self._compress()
 
     @staticmethod
-    def union(sketches) -> "KllSketch":
-        """Fresh sketch summarizing every input stream.
-
-        Equal to folding ``merge`` over the inputs from the left, built in
-        one sketch instead of one per merge.  Inputs are not modified."""
-        it = iter(sketches)
-        first = next(it)
-        out = KllSketch(first.k, first.seed)
-        out._levels = [list(lvl) for lvl in first._levels]
-        out.n, out._size = first.n, first._size
-        out._size_caps()
-        for sk in it:
-            out._absorb(sk)
-        return out
-
-    @staticmethod
     def merge(a: "KllSketch", b: "KllSketch") -> "KllSketch":
         """Fresh sketch summarizing the union of both input streams.
 
@@ -167,7 +152,12 @@ class KllSketch:
         symmetric combination of the input seeds, so merge(a, b) and
         merge(b, a) answer queries identically.
         """
-        return KllSketch.union((a, b))
+        out = KllSketch(a.k, a.seed)
+        out._levels = [list(lvl) for lvl in a._levels]
+        out.n, out._size = a.n, a._size
+        out._size_caps()
+        out._absorb(b)
+        return out
 
     # -- queries --------------------------------------------------------
 

@@ -112,7 +112,7 @@ class TestExactOracles:
             m = np.isfinite(col)
             if m.sum() >= 3 and np.std(col[m]) > 0 and np.std(y[m]) > 0:
                 per_col[j] = np.corrcoef(col[m], y[m])[0, 1]
-        single = pearson_screen({vid: examples[vid]}, schema, "departure")
+        single = pearson_screen([(xm, y)], schema)
         got = np.array([single["per_column"][c] for c in schema.columns])
         np.testing.assert_allclose(got, per_col, atol=1e-8)
 

@@ -20,7 +20,7 @@ from drivecast.config import (
     validate_config,
 )
 from drivecast.exceptions import ConfigError
-from drivecast.features import PART_OF_DAY_CATEGORIES, FeatureSchema
+from drivecast.features import PART_OF_DAY_CATEGORIES, default_schema
 
 
 class TestConfig:
@@ -274,10 +274,10 @@ class TestPipeline:
         selection = json.loads(
             (tmp_path / "out" / "select" / "selection.json").read_text())
         for target, block in selection["features"].items():
-            schema = FeatureSchema.from_dict(block["schema"])
-            assert not set(block["backward_removed"]) & set(schema.names), \
-                target
-            assert block["n_features"] == schema.dim, target
+            names = block["descriptors"]
+            assert not set(block["backward_removed"]) & set(names), target
+            assert block["n_features"] == \
+                default_schema().subset(names).dim, target
 
     def test_rerun_is_byte_identical(self, pipeline_run):
         tmp_path, cfg_path = pipeline_run
@@ -292,6 +292,29 @@ class TestPipeline:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+# SHA-256 of selection.json's per-target feature blocks (both screens,
+# VIF drops, chosen descriptors) on the tiny pipeline config; see
+# TestGoldenSelection.  Recorded when a block still held the chosen
+# descriptors' full specs, with their names put in their place.
+GOLDEN_SELECTION_DIGEST = \
+    "3363b38720e8b577a5bb03fed0ee17986a960b3137e3e62d78aaa7f3bc0bf1d6"
+
+
+class TestGoldenSelection:
+    def test_features_block_of_every_target(self, tmp_path):
+        """Every screen score and chosen descriptor pinned: json writes
+        a float's ``repr``, so a one-ulp change moves the digest."""
+        cfg = write_config(tmp_path)
+        for stage in ("synth", "preprocess", "select"):
+            assert main([stage, "--config", str(cfg)]) == 0
+        features = json.loads(
+            (tmp_path / "out" / "select" / "selection.json").read_text()
+        )["features"]
+        text = json.dumps(features, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            GOLDEN_SELECTION_DIGEST
 
 
 class TestStageIsolation:
@@ -381,6 +404,38 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, err
         assert f"data error: {tmp_path / 'out' / rel}: malformed" in err
+
+    def test_old_selection_format_is_exit_4(self, pipeline_run, tmp_path,
+                                            capsys):
+        """A selection.json that stores each target's full schema, as
+        earlier versions wrote it, is refused: rerun select."""
+        shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
+        path = tmp_path / "out" / "select" / "selection.json"
+        selection = json.loads(path.read_text())
+        for block in selection["features"].values():
+            specs = default_schema().subset(block.pop("descriptors")).specs
+            block["schema"] = {"version": 1, "specs": [
+                {"name": sp.name, "kind": sp.kind, "source": sp.source,
+                 "period": sp.period, "offset": sp.offset,
+                 "categories": list(sp.categories)} for sp in specs]}
+        path.write_text(json.dumps(selection))
+        cfg = write_config(tmp_path)
+        assert main(["tune", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert f"data error: {path}: malformed: KeyError('descriptors')" \
+            in err
+
+    @pytest.mark.parametrize("stage", ["tune", "evaluate"])
+    def test_warmup_past_every_stream_is_exit_2(self, pipeline_run, tmp_path,
+                                                capsys, stage):
+        shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
+        cfg = write_config(tmp_path, evaluate={"models": ["mean", "qknn"],
+                                               "warmup": 1000})
+        assert main([stage, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "config error: evaluate.warmup: " in err
 
     def test_model_filter(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -104,7 +104,7 @@ class TestDefaultSchema:
         schema = default_schema()
         mask = schema.passthrough_mask()
         assert mask.sum() == 5
-        assert mask[schema.group_slice("prev_start_part_of_day")].all()
+        assert mask[schema.column_index(["prev_start_part_of_day"])].all()
 
     def test_subset_preserves_order(self):
         schema = default_schema()
@@ -118,16 +118,11 @@ class TestDefaultSchema:
         schema = default_schema()
         names = ["prev_end_hours", "day_of_week_cyc", "is_workday"]
         cols = schema.column_index(names)
+        spec_columns = {s.name: s.columns for s in schema.specs}
         assert [schema.columns[j] for j in cols] == [
-            c for n in names for c in schema.columns[schema.group_slice(n)]]
+            c for n in names for c in spec_columns[n]]
         assert len(cols) == 4
         assert len(schema.column_index([])) == 0
-
-    def test_roundtrip(self):
-        schema = default_schema()
-        again = FeatureSchema.from_dict(schema.to_dict())
-        assert again.to_dict() == schema.to_dict()
-        assert again.columns == schema.columns
 
 
 class TestRunningStats:
@@ -209,8 +204,7 @@ class TestFeaturePipeline:
 
     def test_target_averages_track_history(self):
         pipe, schema = self.make()
-        hist = schema.group_slice("target_hist_avg").start
-        run = schema.group_slice("target_run_avg").start
+        hist, run = schema.column_index(["target_hist_avg", "target_run_avg"])
 
         # no history yet: average columns are missing, encoded as 0
         z = pipe.transform({"is_workday": 1.0})
@@ -232,7 +226,7 @@ class TestFeaturePipeline:
 
     def test_standardized_averages_match_oracle(self):
         pipe, schema = self.make()
-        hist = schema.group_slice("target_hist_avg").start
+        [hist] = schema.column_index(["target_hist_avg"])
         targets = [10.0, 20.0, 30.0, 40.0]
         zs = []
         for y in targets:

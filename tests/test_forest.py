@@ -1,5 +1,6 @@
 """Incremental tree growth, split correctness, and forest drift recovery."""
 
+import functools
 import hashlib
 import math
 import pickle
@@ -12,6 +13,7 @@ from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
 from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
 from drivecast.models import QuantileForest
+from drivecast.streaming import KllSketch
 
 # every interval of the golden run; recorded when intervals came to be
 # read from the pooled leaf-sketch items instead of a union sketch
@@ -274,6 +276,35 @@ class TestAdaptiveForest:
             assert point == np.mean([tree.predict_one(p)
                                      for tree in forest.trees])
             assert sum(s.n for s in sketches) == forest.merged_sketch(p).n
+
+    def test_merged_sketch_equals_pairwise_merge_chain(self):
+        """``merged_sketch`` is ``KllSketch.merge`` folded over the routed
+        leaves' sketches from the left, and hands out none of them."""
+        def answers(sk):
+            return (sk.n, sk.retained_items(),
+                    [sk.quantile(q) for q in np.linspace(0.0, 1.0, 101)],
+                    sk.moments())
+
+        rng = np.random.default_rng(12)
+        forest = AdaptiveForest(3, n_trees=6, seed=8)
+        xs, ys = threshold_stream(rng, 1500)
+        for x, y in zip(xs, ys):
+            forest.learn_one(x, y)
+        for p in rng.normal(size=(10, 3)):
+            sketches = forest.predict_sketches(p)[1]
+            assert len(sketches) >= 2
+            assert len({sk.seed for sk in sketches}) > 1
+            before = [answers(sk) for sk in sketches]
+            merged = forest.merged_sketch(p)
+            chain = functools.reduce(KllSketch.merge, sketches)
+            assert merged._levels == chain._levels
+            assert merged.seed == chain.seed
+            assert answers(merged) == answers(chain)
+            for v in rng.normal(size=500):
+                merged.insert(v)
+                chain.insert(v)
+            assert answers(merged) == answers(chain)
+            assert [answers(sk) for sk in sketches] == before
 
     def test_merged_sketch_needs_data(self):
         forest = AdaptiveForest(2, n_trees=3, seed=0)

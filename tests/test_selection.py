@@ -113,6 +113,11 @@ class TestSelectWellBehaving:
         assert sel["selected"] == ["a", "b"]
 
 
+def encode_fleet(fleet, schema, target="departure"):
+    """One ``encode_batch`` pair per vehicle, as the select stage builds."""
+    return [encode_batch(ex, schema, target) for ex in fleet.values()]
+
+
 def abc_schema():
     return FeatureSchema([
         FeatureSpec("a", "numeric", "a"),
@@ -161,7 +166,7 @@ class TestPearsonScreen:
     def test_matches_numpy_oracle(self):
         fleet = self.fleet()
         schema = abc_schema()
-        res = pearson_screen(fleet, schema, "departure")
+        res = pearson_screen(encode_fleet(fleet, schema), schema)
         expected = np.zeros(3)
         for ex in fleet.values():
             x, y = encode_batch(ex, schema, "departure")
@@ -173,7 +178,8 @@ class TestPearsonScreen:
     def test_flags_weak_and_constant(self):
         # threshold sits well above the ~0.035 sampling noise of an
         # averaged correlation at this sample size
-        res = pearson_screen(self.fleet(), abc_schema(), "departure",
+        schema = abc_schema()
+        res = pearson_screen(encode_fleet(self.fleet(), schema), schema,
                              threshold=0.1)
         assert "a" not in res["weak"]
         assert "b" in res["weak"]  # pure noise
@@ -189,7 +195,7 @@ class TestPearsonScreen:
         ys = np.where(picks == "hi", 9.0, 3.0) + rng.normal(0, 0.2, 200)
         fleet = {"v": stream("v", ys,
                              lambda d: {"grp": str(picks[d])})}
-        res = pearson_screen(fleet, schema, "departure")
+        res = pearson_screen(encode_fleet(fleet, schema), schema)
         assert res["weak"] == []
 
 
@@ -207,7 +213,8 @@ class TestForwardSfs:
         return out
 
     def test_selects_true_features_in_gain_order(self):
-        res = forward_sfs(self.make_fleet(), abc_schema(), "departure")
+        schema = abc_schema()
+        res = forward_sfs(encode_fleet(self.make_fleet(), schema), schema)
         assert res["selected"][:2] == ["a", "b"]
         assert "c" not in res["selected"]
         maes = [h["mae"] for h in res["history"]]
@@ -226,7 +233,7 @@ class TestForwardSfs:
         ys = np.array([level[p] for p in picks]) + rng.normal(0, 0.1, 240)
         fleet = {"v": stream("v", ys, lambda d: {
             "noise": float(rng.normal()), "grp": str(picks[d])})}
-        res = forward_sfs(fleet, schema, "departure")
+        res = forward_sfs(encode_fleet(fleet, schema), schema)
         assert res["selected"] == ["grp"]
 
 
@@ -266,7 +273,7 @@ class TestVif:
         b = rng.normal(size=n)
         fleet = {"v": stream("v", rng.normal(size=n),
                              lambda d: {"a": float(a[d]), "b": float(b[d])})}
-        res = vif_prune(fleet, schema, "departure")
+        res = vif_prune(encode_fleet(fleet, schema), schema, schema.names)
         assert res["dropped"] == ["a"]  # worst column ties break earliest
         assert res["schema"].names == ["a_twin", "b"]
 
@@ -277,7 +284,8 @@ class TestVif:
         fleet = {"v": stream("v", rng.normal(size=n), lambda d: {
             "a": float(cols[d, 0]), "b": float(cols[d, 1]),
             "c": float(cols[d, 2])})}
-        res = vif_prune(fleet, abc_schema(), "departure")
+        schema = abc_schema()
+        res = vif_prune(encode_fleet(fleet, schema), schema, schema.names)
         assert res["dropped"] == []
         assert res["schema"].names == ["a", "b", "c"]
 
@@ -294,9 +302,35 @@ class TestVif:
         picks = rng.choice(cats, size=n)
         fleet = {"v": stream("v", rng.normal(size=n), lambda d: {
             "grp": str(picks[d]), "a": float(a[d])})}
-        res = vif_prune(fleet, schema, "departure")
+        res = vif_prune(encode_fleet(fleet, schema), schema, schema.names)
         assert "grp" not in res["dropped"]
         assert "grp" in res["schema"].names
+
+    def test_named_columns_equal_encoding_under_their_subset(self):
+        rng = np.random.default_rng(8)
+        schema = FeatureSchema([
+            FeatureSpec("a", "numeric", "a"),
+            FeatureSpec("a_twin", "numeric", "a"),
+            FeatureSpec("b", "numeric", "b"),
+            FeatureSpec("b_near", "numeric", "b_near"),
+            FeatureSpec("c", "numeric", "c"),
+        ])
+        n = 150
+        cols = rng.normal(size=(n, 3))
+        near = cols[:, 1] + rng.normal(0.0, 0.05, size=n)
+        fleet = {vid: stream(vid, rng.normal(size=n), lambda d: {
+            "a": float(cols[d, 0]), "b": float(cols[d, 1]),
+            "b_near": float(near[d]), "c": float(cols[d, 2])})
+            for vid in ("v1", "v2")}
+        encoded = encode_fleet(fleet, schema)
+        assert vif_prune(encoded, schema, schema.names)["dropped"] == [
+            "a", "b"]
+        for names in (["a", "b", "b_near", "c"], ["a_twin", "b", "c"]):
+            sub = schema.subset(names)
+            got = vif_prune(encoded, schema, names)
+            want = vif_prune(encode_fleet(fleet, sub), sub, names)
+            assert got["dropped"] == want["dropped"]
+            assert got["schema"].names == want["schema"].names
 
 
 class TestCombineScreens:
