@@ -1,7 +1,7 @@
 """Hot numeric kernels in plain numpy.
 
 Kernels here are the per-observation inner loops that dominate long runs:
-the sliding-window KNN distance scan, the per-leaf split-gain scan of the
+the sliding-window KNN distance scan, the leaves' split-gain scan of the
 incremental trees, and the adaptive-window cut scan of the drift detector.
 Callers look each kernel up as ``_kernels.<name>`` at call time, so a
 profiler that wraps the module attribute sees every call.
@@ -28,10 +28,13 @@ def split_gains(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
     (best_gain, best_bin) arrays of length n_features; best_bin is -1 where
     no valid boundary exists.  Gains are (parent_var - weighted_child_var)
     normalized by parent_var, so they live in [0, 1].
+
+    Every row is scored from its own bins alone: the rows of several
+    leaves stacked into one call give, row for row, bit for bit, what one
+    call per leaf gives.
     """
-    n = counts.sum(axis=1)
-    s = sums.sum(axis=1)
-    q = sumsqs.sum(axis=1)
+    stats = np.stack((counts, sums, sumsqs))
+    n, s, q = stats.sum(axis=2)
 
     n_feat, n_bins = counts.shape
     best_gain = np.zeros(n_feat)
@@ -44,9 +47,7 @@ def split_gains(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
         mu = np.where(n > 0, s / np.maximum(n, 1.0), 0.0)
         var = np.where(n > 0, q / np.maximum(n, 1.0) - mu * mu, 0.0)
 
-    n0 = np.cumsum(counts[:, :-1], axis=1)
-    s0 = np.cumsum(sums[:, :-1], axis=1)
-    q0 = np.cumsum(sumsqs[:, :-1], axis=1)
+    n0, s0, q0 = np.cumsum(stats[:, :, :-1], axis=2)
     n1 = n[:, None] - n0
     s1 = s[:, None] - s0
     q1 = q[:, None] - q0

@@ -17,7 +17,9 @@ its absolute error: a sensitive one that starts a background replacement
 tree on warning, and a conservative one that swaps the replacement in on
 confirmed drift.  An observation updates the histograms of every leaf it
 trains, in every tree and background, in one batched numpy pass; each
-leaf ends up bit-equal to learning it alone.
+leaf ends up bit-equal to learning it alone.  The split attempts that
+observation makes due are then scored in one stacked split-gain scan,
+bit-equal to scoring them one leaf at a time.
 
 Every public method of a tree or a forest rejects malformed or
 non-finite features, and ``learn_one`` a non-finite target, before any
@@ -179,34 +181,36 @@ class HoeffdingTree:
             raise ValueError(f"weight must be finite and >= 0, got {weight!r}")
         route = self._descend(x)
         _learn_leaves([route[0]], x, y, [weight])
-        self._learned_at(route, y, weight)
+        if self._learned_at(route, y, weight):
+            _attempt_splits([(self, route)])
 
-    def _learned_at(self, route, y: float, weight: float) -> None:
+    def _learned_at(self, route, y: float, weight: float) -> bool:
         """The rest of learning at ``route`` once ``_learn_leaves`` has
-        updated its leaf's histogram: counts, sketch and split attempt."""
-        leaf, parent, left = route
+        updated its leaf's histogram: counts and sketch.  Returns whether
+        the leaf is due for a split attempt (see ``_attempt_splits``)."""
+        leaf = route[0]
         leaf.n += weight
         leaf.total += weight * y
         leaf.sketch.insert(y, int(round(weight)))
         leaf.since_attempt += weight
         self.n_seen += weight
         self.total += weight * y
-        if leaf.since_attempt >= self.grace_period:
-            leaf.since_attempt = 0.0
-            self._attempt_split(leaf, parent, left)
+        if leaf.since_attempt < self.grace_period:
+            return False
+        leaf.since_attempt = 0.0
+        return leaf.depth < self.max_depth and leaf.n >= 2
 
-    def _attempt_split(self, leaf: _Leaf, parent, left: bool) -> None:
-        if leaf.depth >= self.max_depth or leaf.n < 2:
-            return
-        m = min(self.subspace, self.n_features)
-        sel = self._rng.choice(self.n_features, size=m, replace=False)
-        gains, bins = _kernels.split_gains(*leaf.stats[:, sel])
+    def _split_if_best(self, route, sel: np.ndarray, gains: np.ndarray,
+                       bins: np.ndarray) -> None:
+        """Split the leaf at ``route`` on the best of the features ``sel``
+        scored ``gains`` and ``bins``, if the Hoeffding test accepts it."""
+        leaf, parent, left = route
         order = np.argsort(gains, kind="stable")[::-1]
         best = int(order[0])
         best_gain = float(gains[best])
         if best_gain <= 0.0 or bins[best] < 0:
             return
-        second_gain = float(gains[int(order[1])]) if m > 1 else 0.0
+        second_gain = float(gains[int(order[1])]) if len(sel) > 1 else 0.0
         eps = hoeffding_bound(1.0, DELTA_SPLIT, leaf.n)
         if not (best_gain - second_gain > eps or eps < TIE_TAU):
             return
@@ -248,6 +252,29 @@ class HoeffdingTree:
     @property
     def depth(self) -> int:
         return max(d for _, d in self._walk())
+
+
+def _attempt_splits(due: list) -> None:
+    """Split attempts at the ``(tree, route)`` pairs of distinct trees of one
+    shape, each route's leaf due for one, scored in one
+    ``_kernels.split_gains`` call.
+
+    Each tree draws its feature subspace in turn, and a tree that splits
+    draws its new leaves' seeds after that, from its own generator, so
+    every tree ends as if it had attempted alone."""
+    if not due:
+        return
+    sels = [tree._rng.choice(tree.n_features,
+                             size=min(tree.subspace, tree.n_features),
+                             replace=False)
+            for tree, _ in due]
+    gains, bins = _kernels.split_gains(*np.concatenate(
+        [route[0].stats[:, sel] for (_, route), sel in zip(due, sels)],
+        axis=1))
+    stop = 0
+    for (tree, route), sel in zip(due, sels):
+        start, stop = stop, stop + len(sel)
+        tree._split_if_best(route, sel, gains[start:stop], bins[start:stop])
 
 
 class AdaptiveForest:
@@ -345,8 +372,8 @@ class AdaptiveForest:
         if learners:
             _learn_leaves([route[0] for _, route, _ in learners], x, y,
                           [w for _, _, w in learners])
-            for tree, route, w in learners:
-                tree._learned_at(route, y, w)
+            _attempt_splits([(tree, route) for tree, route, w in learners
+                             if tree._learned_at(route, y, w)])
         self.n_seen += 1
 
     # -- interval support ------------------------------------------------

@@ -1,5 +1,6 @@
 """Incremental tree growth, split correctness, and forest drift recovery."""
 
+import copy
 import functools
 import hashlib
 import math
@@ -8,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from drivecast import _kernels
 from drivecast import forest as forest_module
 from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
@@ -369,6 +371,49 @@ class TestAdaptiveForest:
             scanned_steps += bool(firsts)
         assert scanned_steps > 1400
         assert forest.n_replacements > 0 and forest.n_warnings > 0
+
+    def test_every_due_leaf_joins_one_split_scan(self, monkeypatch):
+        """Each ``learn_one`` makes at most one ``split_gains`` call, and its
+        rows are the subspace rows of exactly the leaves whose grace period
+        ran out on that step, in learner order."""
+        scans, due = [], []
+        split_gains = _kernels.split_gains
+        learned_at = HoeffdingTree._learned_at
+
+        def recorded_split_gains(counts, sums, sumsqs):
+            scans.append(np.stack((counts, sums, sumsqs)))
+            return split_gains(counts, sums, sumsqs)
+
+        def recorded_learned_at(tree, route, y, weight):
+            leaf = route[0]
+            if (leaf.since_attempt + weight >= tree.grace_period
+                    and leaf.depth < tree.max_depth and leaf.n + weight >= 2):
+                # the tree's generator as it stands before the subspace draw
+                due.append((tree, leaf, copy.deepcopy(tree._rng)))
+            return learned_at(tree, route, y, weight)
+
+        monkeypatch.setattr(_kernels, "split_gains", recorded_split_gains)
+        monkeypatch.setattr(HoeffdingTree, "_learned_at", recorded_learned_at)
+        rng = np.random.default_rng(8)
+        xs, ys = threshold_stream(rng, 1500)
+        ys[700:] += 6.0
+        forest = AdaptiveForest(3, n_trees=4, seed=3)
+        shared = 0
+        for x, y in zip(xs, ys):
+            scans.clear()
+            due.clear()
+            forest.learn_one(x, y)
+            assert len(scans) == bool(due)
+            if due:
+                want = np.concatenate(
+                    [leaf.stats[:, r.choice(tree.n_features, replace=False,
+                                            size=tree.subspace)]
+                     for tree, leaf, r in due], axis=1)
+                assert scans[0].tobytes() == want.tobytes()
+            shared += len(due) >= 2
+        assert shared > 50
+        assert sum(t.n_splits for t in forest.trees) > 0
+        assert forest.n_replacements > 0
 
     def test_golden_intervals_and_counters(self):
         """Every interval and counter of a seeded run with a regime flip,

@@ -136,6 +136,53 @@ class TestSplitGains:
         assert bin_[1] == 1 and gain[1] == pytest.approx(1.0)
 
 
+class TestStackedSplitGains:
+    @staticmethod
+    def leaf(rng, m, n_bins):
+        """(statistic, feature, bin) histogram of one leaf, as weighted
+        targets fill it: some features hold fewer than 2 values, some put
+        every value in one bin, some see one target value only."""
+        stats = np.zeros((3, m, n_bins))
+        kinds = rng.integers(0, 4, m)
+        for f, kind in enumerate(kinds):
+            if kind == 0:
+                cells = rng.integers(0, n_bins, rng.integers(0, 2))
+            elif kind == 1:
+                cells = np.full(rng.integers(2, 30), rng.integers(0, n_bins))
+            else:
+                cells = rng.integers(0, n_bins, rng.integers(2, 80))
+            ys = rng.normal(rng.normal() * 3, rng.uniform(0.1, 5), len(cells))
+            if kind == 3:
+                ys[:] = ys[0]
+            w = rng.integers(1, 13, len(cells)).astype(float)
+            np.add.at(stats[0, f], cells, w)
+            np.add.at(stats[1, f], cells, w * ys)
+            np.add.at(stats[2, f], cells, w * ys * ys)
+        return stats
+
+    def test_every_leaf_equals_its_own_scan(self):
+        """Rows of several leaves stacked into one call give, row for row
+        and bit for bit, the gains and bins of one call per leaf: the
+        forest scores all split attempts of an observation in one call."""
+        rng = np.random.default_rng(16)
+        short = one_bin = found = 0
+        for _ in range(300):
+            n_bins = int(rng.integers(2, 20))
+            leaves = [self.leaf(rng, int(rng.integers(1, 7)), n_bins)
+                      for _ in range(int(rng.integers(1, 9)))]
+            gains, bins = _kernels.split_gains(*np.concatenate(leaves, axis=1))
+            alone = [_kernels.split_gains(*leaf) for leaf in leaves]
+            assert gains.tobytes() == np.concatenate(
+                [g for g, _ in alone]).tobytes()
+            assert bins.tobytes() == np.concatenate(
+                [b for _, b in alone]).tobytes()
+            counts = np.concatenate([leaf[0] for leaf in leaves])
+            short += int((counts.sum(axis=1) < 2).sum())
+            one_bin += int(((counts > 0).sum(axis=1) == 1).sum())
+            found += int((bins >= 0).sum())
+        assert short > 300 and one_bin > 1000 and found > 600
+
+
 def brute_adwin_cut(counts, sums, sumsqs, delta):
     import math
     rows = len(counts)
