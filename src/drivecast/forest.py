@@ -223,7 +223,9 @@ class HoeffdingTree:
         if not lo < threshold < hi:
             return
 
-        node = _Node(feature, threshold,
+        # a Python float pickles smaller than the numpy scalar and routes
+        # every input the same way
+        node = _Node(feature, float(threshold),
                      self._new_leaf(leaf.depth + 1),
                      self._new_leaf(leaf.depth + 1))
         if parent is None:

@@ -8,12 +8,19 @@ without merging, from the pooled weighted items of all of them.  The
 adaptive window maintains an exponential histogram over a value stream
 and shrinks itself whenever two adjacent sub-windows have statistically
 distinct means, which doubles as a drift signal.
+
+Both keep their floats in flat ``array("d")`` buffers: a sketch level is
+one, and a window's bucket counts, sums and sums of squares are three.
+Updates are Python float adds and multiplies, the same IEEE-754 double
+operations as numpy's, and each read hands numpy one contiguous copy of
+the buffers (one ``b"".join``).  Every sort, sum and kernel therefore sees
+bit-equal doubles, in the same order, whichever way they are stored.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -46,7 +53,7 @@ class KllSketch:
         self.k = int(k)
         self.seed = int(seed)
         self.n = 0
-        self._levels: list[list[float]] = [[]]
+        self._levels: list[array] = [array("d")]
         self._size = 0
         self._size_caps()
         # made on the first compaction; many sketches never compact
@@ -69,13 +76,16 @@ class KllSketch:
 
     def __getstate__(self) -> dict:
         # the size and capacities follow from the levels; leaving them
-        # out keeps a pickled sketch as small as its contents
+        # out keeps a pickled sketch as small as its contents.  Levels pickle
+        # as lists, which are smaller than arrays of a few floats
         state = self.__dict__.copy()
         del state["_size"], state["_caps"], state["_max"]
+        state["_levels"] = [lvl.tolist() for lvl in self._levels]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._levels = [array("d", lvl) for lvl in self._levels]
         self._size = sum(len(lvl) for lvl in self._levels)
         self._size_caps()
 
@@ -94,7 +104,7 @@ class KllSketch:
             # a single insert compacts as soon as the sketch is full, so
             # copies go in bulk up to that point
             batch = min(count, self._max - self._size)
-            level0.extend([value] * batch)
+            level0.fromlist([value] * batch)
             self.n += batch
             self._size += batch
             count -= batch
@@ -108,7 +118,7 @@ class KllSketch:
             for h, lvl in enumerate(self._levels):
                 if len(lvl) >= self._caps[h]:
                     if h + 1 == len(self._levels):
-                        self._levels.append([])
+                        self._levels.append(array("d"))
                         self._size_caps()
                     self._levels[h + 1].extend(self._compact_level(h))
                     break
@@ -120,7 +130,7 @@ class KllSketch:
             self._rng = np.random.Generator(np.random.PCG64(self.seed))
         offset = int(self._rng.random() < 0.5)
         survivors = lvl[offset::2]
-        self._levels[h] = [straggler] if straggler is not None else []
+        self._levels[h] = array("d", [] if straggler is None else [straggler])
         self._size -= len(lvl) - len(survivors)
         return survivors
 
@@ -137,7 +147,7 @@ class KllSketch:
             if h < height:
                 self._levels[h].extend(lvl)
             else:
-                self._levels.append(list(lvl))
+                self._levels.append(array("d", lvl))
         if len(self._levels) != height:
             self._size_caps()
         self.n += other.n
@@ -153,7 +163,7 @@ class KllSketch:
         merge(b, a) answer queries identically.
         """
         out = KllSketch(a.k, a.seed)
-        out._levels = [list(lvl) for lvl in a._levels]
+        out._levels = [array("d", lvl) for lvl in a._levels]
         out.n, out._size = a.n, a._size
         out._size_caps()
         out._absorb(b)
@@ -180,8 +190,7 @@ def _weighted_items(sketches) -> tuple[np.ndarray, np.ndarray]:
     """Every retained item of the sketches, sorted, with its weight: an
     item at level h of its sketch stands for 2^h inserted values."""
     levels = [lvl for sk in sketches for lvl in sk._levels]
-    v = np.fromiter(itertools.chain.from_iterable(levels), dtype=float,
-                    count=sum(sk._size for sk in sketches))
+    v = np.frombuffer(b"".join(levels))
     heights = [h for sk in sketches for h in range(len(sk._levels))]
     w = np.repeat(2.0 ** np.array(heights), [len(lvl) for lvl in levels])
     order = np.argsort(v, kind="stable")
@@ -236,43 +245,38 @@ class AdwinWindow:
         # per bucket, oldest first: the count, sum and sum of squares; a
         # count is always a power of two and counts never grow from oldest
         # to newest, so a bucket's level is read from its count
-        self._stats = np.zeros((3, 64))
-        self._rows = 0
+        self._counts, self._sums, self._sumsqs = (array("d"), array("d"),
+                                                  array("d"))
         self.n_drifts = 0
 
     @property
     def width(self) -> int:
-        return int(self._stats[0, : self._rows].sum())
+        return int(sum(self._counts))
 
     @property
     def mean(self) -> float:
-        count, total = self._stats[:2, : self._rows].sum(axis=1)
-        return total / count if count > 0 else 0.0
-
-    def _grow(self) -> None:
-        new = np.zeros((3, 2 * self._stats.shape[1]))
-        new[:, : self._rows] = self._stats[:, : self._rows]
-        self._stats = new
+        count = sum(self._counts)
+        return sum(self._sums) / count if count > 0 else 0.0
 
     def _compress(self) -> None:
         # every size had at most _MAX_BUCKETS buckets before the new bucket
         # of size 1 came in, and a merge adds one bucket of the next size
         # only: a size has overflowed exactly when the row _MAX_BUCKETS
         # before the newest bucket of that size still holds that size
-        stats = self._stats
-        p, size = self._rows - _MAX_BUCKETS - 1, 1.0
-        while p >= 0 and stats[0, p] == size:
+        counts = self._counts
+        p, size = len(counts) - _MAX_BUCKETS - 1, 1.0
+        while p >= 0 and counts[p] == size:
             # merge the two oldest buckets of this size into one of the
             # next size, which is then the newest of its size; totals are
             # unchanged
-            stats[:, p] += stats[:, p + 1]
-            stats[:, p + 1: self._rows - 1] = stats[:, p + 2: self._rows]
-            self._rows -= 1
+            for stat in (counts, self._sums, self._sumsqs):
+                stat[p] += stat[p + 1]
+                del stat[p + 1]
             p, size = p - _MAX_BUCKETS, 2 * size
 
     def _drop_oldest(self) -> None:
-        self._stats[:, : self._rows - 1] = self._stats[:, 1: self._rows]
-        self._rows -= 1
+        for stat in (self._counts, self._sums, self._sumsqs):
+            del stat[0]
 
     def update(self, v: float, scan: bool = True) -> bool:
         """Insert one value; returns True when a distribution shift was cut.
@@ -280,10 +284,9 @@ class AdwinWindow:
         ``scan=False`` leaves the search for a cut to the caller, who runs
         it for many windows at once (see ``update_many``)."""
         v = float(v)
-        if self._rows == self._stats.shape[1]:
-            self._grow()
-        self._stats[:, self._rows] = (1.0, v, v * v)
-        self._rows += 1
+        self._counts.append(1.0)
+        self._sums.append(v)
+        self._sumsqs.append(v * v)
         self._compress()
         return scan and bool(_cut_windows([self]))
 
@@ -291,12 +294,11 @@ class AdwinWindow:
 
     def to_dict(self) -> dict:
         """Plain-data snapshot of the buckets, oldest first."""
-        counts, sums, sumsqs = self._stats[:, : self._rows].tolist()
         return {
             "delta": self.delta,
-            "counts": counts,
-            "sums": sums,
-            "sumsqs": sumsqs,
+            "counts": self._counts.tolist(),
+            "sums": self._sums.tolist(),
+            "sumsqs": self._sumsqs.tolist(),
             "n_drifts": self.n_drifts,
         }
 
@@ -309,38 +311,33 @@ def _cut_windows(windows) -> set:
     round scans every window still cutting, and a window's count of drifts
     goes up once if it was cut."""
     cut = set()
-    scanning = [w for w in windows if w._rows >= 2]
+    scanning = [w for w in windows if len(w._counts) >= 2]
     while scanning:
-        width = max(w._rows for w in scanning)
-        stats = _stack(scanning)[:, :, :width]
+        rows = [len(w._counts) for w in scanning]
+        width = max(rows)
+        # one copy of every window's buffers, each zero-padded to the
+        # widest, as a (statistic, window, row) stack
+        pad = memoryview(bytes(8 * width))
+        stats = np.frombuffer(b"".join([
+            part for stat in ("_counts", "_sums", "_sumsqs")
+            for w, r in zip(scanning, rows)
+            for part in (getattr(w, stat), pad[8 * r:])]))
+        stats = stats.reshape(3, len(scanning), width)
         found = _kernels.adwin_cut(
-            stats[:, 0], stats[:, 1], stats[:, 2],
-            np.array([w.delta for w in scanning]),
-            np.array([w._rows for w in scanning]))
+            stats[0], stats[1], stats[2],
+            np.array([w.delta for w in scanning]), np.array(rows))
         still = []
         for w, at in zip(scanning, found):
             if at < 0:
                 continue
             w._drop_oldest()
             cut.add(w)
-            if w._rows >= 2:
+            if len(w._counts) >= 2:
                 still.append(w)
         scanning = still
     for w in cut:
         w.n_drifts += 1
     return cut
-
-
-def _stack(windows) -> np.ndarray:
-    """(window, statistic, row) stack of the windows' bucket counts, sums
-    and sums of squares; rows past a window's own are left as they are."""
-    cap = max(w._stats.shape[1] for w in windows)
-    if all(w._stats.shape[1] == cap for w in windows):
-        return np.array([w._stats for w in windows])
-    out = np.zeros((len(windows), 3, cap))
-    for out_w, w in zip(out, windows):
-        out_w[:, :w._stats.shape[1]] = w._stats
-    return out
 
 
 def update_many(windows, values) -> list[bool]:

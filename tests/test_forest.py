@@ -11,7 +11,6 @@ import pytest
 
 from drivecast import _kernels
 from drivecast import forest as forest_module
-from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
 from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
 from drivecast.models import QuantileForest
@@ -339,22 +338,27 @@ class TestAdaptiveForest:
         ``update_many`` call, whose first stacked round scans every window
         that holds at least 2 buckets."""
         feeds, firsts = [], []
-        stack, update_many = streaming._stack, forest_module.update_many
+        adwin_cut, update_many = _kernels.adwin_cut, forest_module.update_many
 
         def recorded_update_many(windows, values):
             feeds.append(windows)
             return update_many(windows, values)
 
-        def recorded_stack(windows):
+        def recorded_adwin_cut(counts, sums, sumsqs, deltas, rows):
             if len(firsts) < len(feeds):
                 # nothing is cut before the first round: every window
                 # still holds all the buckets it was fed
-                firsts.append(([id(w) for w in windows],
-                               [id(w) for w in feeds[-1] if w._rows >= 2]))
-            return stack(windows)
+                scanned = [(float(d), counts[i, :r].tolist(),
+                            sums[i, :r].tolist(), sumsqs[i, :r].tolist())
+                           for i, (d, r) in enumerate(zip(deltas, rows))]
+                fed = [(b["delta"], b["counts"], b["sums"], b["sumsqs"])
+                       for b in (w.to_dict() for w in feeds[-1])
+                       if len(b["counts"]) >= 2]
+                firsts.append((scanned, fed))
+            return adwin_cut(counts, sums, sumsqs, deltas, rows)
 
         monkeypatch.setattr(forest_module, "update_many", recorded_update_many)
-        monkeypatch.setattr(streaming, "_stack", recorded_stack)
+        monkeypatch.setattr(_kernels, "adwin_cut", recorded_adwin_cut)
         rng = np.random.default_rng(8)
         xs, ys = threshold_stream(rng, 1500)
         ys[700:] += 6.0

@@ -1,6 +1,7 @@
 """Quantile sketch accuracy/merge/memory and adaptive-window behavior."""
 
 import copy
+import hashlib
 import math
 import pickle
 from collections import Counter
@@ -12,9 +13,23 @@ from hypothesis import strategies as st
 
 from drivecast import streaming
 from drivecast.exceptions import InsufficientHistoryError
-from drivecast.streaming import AdwinWindow, KllSketch, describe, update_many
+from drivecast.streaming import (_MAX_BUCKETS, AdwinWindow, KllSketch,
+                                  describe, update_many)
 
 QS = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)
+
+# digests of fixed streams through both primitives, recorded while their
+# floats were still held in Python lists and a numpy bucket matrix; a change
+# to how they store floats must not move any of them
+GOLDEN_ADWIN_DIGEST = (
+    "359c8eaa050b5e8489739fef330e086f"
+    "a40771f6bfd9f7233c7b00b253fd197c")
+GOLDEN_POOL_DIGEST = (
+    "b1c785075594a3d890f046a66c640aeb"
+    "cecdb892a5be52f432ca99f30e3881bd")
+GOLDEN_PICKLE_DIGEST = (
+    "962fd03a9fe0596648cc5528fe60bb94"
+    "f01f82449fd7f03ed24d92f023917810")
 
 
 def rank_error(sketch, data, q):
@@ -456,23 +471,43 @@ class TestAdwinWindow:
         # at least one scan round per step, and far fewer than per window
         assert steps <= batched[1] < single[1] / 3
 
-    def test_batched_scan_of_windows_of_unequal_capacity(self):
-        """Windows whose buffers differ in size scan as they do alone."""
+    def test_batched_scan_of_windows_of_unequal_length(self):
+        """Windows holding 1, 2, about 40 and over 100 buckets, updated in
+        one ``update_many`` call per step, get the flags and buckets that
+        their own ``update`` gives them."""
         rng = np.random.default_rng(7)
         windows = []
-        for shift in (0.0, 3.0, 5.0):
+        for size in (1, 2, 2000):
             w = AdwinWindow(0.002)
-            for v in np.concatenate([rng.normal(0, 1, 300),
-                                     rng.normal(shift, 1, 20)]):
-                w.update(v, scan=False)
+            for v in rng.normal(0.0, 1.0, size):
+                w.update(v)
             windows.append(w)
-        windows[1]._grow()
-        alone = [copy.deepcopy(w) for w in windows]
-        cut = streaming._cut_windows(windows)
-        assert [w in cut for w in windows] == [
-            bool(streaming._cut_windows([w])) for w in alone]
-        assert [w.to_dict() for w in windows] == [w.to_dict() for w in alone]
-        assert windows[1] in cut and windows[0] not in cut
+        # five full buckets of every size from 2^20 down to 1, far more
+        # values than a test can feed one at a time
+        deep = AdwinWindow(0.01)
+        for level in range(20, -1, -1):
+            for _ in range(_MAX_BUCKETS):
+                count = 2.0 ** level
+                total = count * 0.1 + math.sqrt(count) * rng.normal()
+                deep._counts.append(count)
+                deep._sums.append(total)
+                deep._sumsqs.append(count + total * total / count)
+        windows.append(deep)
+        lengths = [len(w.to_dict()["counts"]) for w in windows]
+        assert lengths[:2] == [1, 2] and 35 <= lengths[2] <= 45
+        assert lengths[3] > 100
+        alone = copy.deepcopy(windows)
+        cut_steps = [0] * len(windows)
+        for v in rng.normal(4.0, 1.0, 40):
+            flags = update_many(windows, [v] * len(windows))
+            assert flags == [w.update(v) for w in alone]
+            assert [w.to_dict() for w in windows] == [w.to_dict()
+                                                      for w in alone]
+            cut_steps = [c + f for c, f in zip(cut_steps, flags)]
+        # the shift is cut in the long windows, and the fresh ones have
+        # too few values on either side to cut
+        assert cut_steps[0] == cut_steps[1] == 0
+        assert cut_steps[2] > 0 and cut_steps[3] > 0
 
     def test_delta_validated(self):
         with pytest.raises(ValueError):
@@ -490,3 +525,118 @@ class TestAdwinWindow:
         assert w.width == sum(w.to_dict()["counts"])
         # a cut drops the oldest buckets, so the window is the stream's tail
         assert w.mean == pytest.approx(np.mean(values[-w.width:]), abs=1e-6)
+
+
+def three_regimes(rng, size):
+    """A stream that shifts its mean up, then down with a wider spread."""
+    return np.concatenate([rng.normal(0.0, 1.0, size),
+                           rng.normal(2.5, 1.0, size),
+                           rng.normal(-1.0, 3.0, size)])
+
+
+def fill_weighted(rng, sketch, inserts):
+    """Weighted inserts of counts 0-12, half of them repeats of a few
+    values that include 0.0 and -0.0."""
+    repeats = (0.0, -0.0, 1.0, -1.0, 2.5)
+    for _ in range(inserts):
+        if rng.random() < 0.5:
+            value = repeats[int(rng.integers(len(repeats)))]
+        else:
+            value = round(float(rng.normal(0.0, 2.0)), 2)
+        sketch.insert(value, int(rng.integers(0, 13)))
+
+
+class TestCopies:
+    @pytest.mark.parametrize("clone", [
+        lambda obj: pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)),
+        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_mid_stream_go_on_like_the_original(self, clone):
+        """A sketch and a window copied mid-stream hold, flag and answer
+        what the original does over 500 more values."""
+        rng = np.random.default_rng(35)
+        # the k=200 sketch has not compacted yet, so it has no generator
+        sketches = [KllSketch(k=16, seed=3), KllSketch(k=200, seed=4)]
+        window = AdwinWindow(0.002)
+        for v in rng.normal(0.0, 1.0, 150):
+            for sk in sketches:
+                sk.insert(v)
+            window.update(v)
+        assert len(sketches[0]._levels) > 1 and len(sketches[1]._levels) == 1
+        copies, window_copy = [clone(sk) for sk in sketches], clone(window)
+        for v in three_regimes(rng, 500)[::3]:
+            for sk, twin in zip(sketches, copies):
+                sk.insert(v)
+                twin.insert(v)
+                assert twin._levels == sk._levels
+                assert (describe([twin], (0.05, 0.5, 0.95))
+                        == describe([sk], (0.05, 0.5, 0.95)))
+            assert window_copy.update(v) == window.update(v)
+            assert window_copy.to_dict() == window.to_dict()
+        assert window.n_drifts > 0
+        assert len(sketches[1]._levels) > 1
+
+
+class TestGoldenStreams:
+    """Bit-for-bit pins of what the sketch and the drift windows hold and
+    answer; ``TestGoldenRecords`` and the forest's golden test pin them
+    only through a model."""
+
+    def test_golden_adwin_buckets_and_flags(self):
+        digest = hashlib.sha256()
+        stream = three_regimes(np.random.default_rng(31), 700)
+        drifts = 0
+        for delta in (0.002, 0.01):
+            w = AdwinWindow(delta)
+            for v in stream:
+                drifts += w.update(v)
+                digest.update(repr(w.to_dict()).encode())
+        # six warn/drift pairs through update_many, each pair restarting
+        # on a drift as the forest's do
+        rng = np.random.default_rng(32)
+        steps = 1500
+        streams = rng.normal(0.0, 1.0, (steps, 6))
+        streams += np.where(np.arange(steps)[:, None]
+                            >= rng.integers(200, 1200, 6),
+                            rng.uniform(1.0, 3.0, 6), 0.0)
+        pairs = [(AdwinWindow(0.01), AdwinWindow(0.002)) for _ in range(6)]
+        for values in streams:
+            flags = update_many([w for w, _ in pairs] + [d for _, d in pairs],
+                                list(values) * 2)
+            digest.update(repr(flags).encode())
+            for i, drifted in enumerate(flags[6:]):
+                if drifted:
+                    drifts += 1
+                    pairs[i] = (AdwinWindow(0.01), AdwinWindow(0.002))
+        digest.update(repr([(w.to_dict(), d.to_dict())
+                            for w, d in pairs]).encode())
+        assert drifts > 6
+        assert digest.hexdigest() == GOLDEN_ADWIN_DIGEST
+
+    def test_golden_pooled_items_and_intervals(self):
+        rng = np.random.default_rng(33)
+        sketches = [KllSketch(k=k, seed=40 + i)
+                    for i, k in enumerate((8, 16, 8, 32, 12))]
+        digest = hashlib.sha256()
+        for _ in range(12):
+            for sk in sketches:
+                fill_weighted(rng, sk, int(rng.integers(0, 30)))
+            for size in range(1, len(sketches) + 1):
+                pool = sketches[:size]
+                v, w = streaming._weighted_items(pool)
+                digest.update(v.tobytes())
+                digest.update(w.tobytes())
+                if sum(sk.n for sk in pool) >= 2:
+                    answer = describe(pool, (0.05, 0.95))
+                    digest.update(repr(answer).encode())
+        assert min(len(sk._levels) for sk in sketches) > 2
+        assert digest.hexdigest() == GOLDEN_POOL_DIGEST
+
+    def test_golden_pickled_sketch(self):
+        rng = np.random.default_rng(34)
+        sk = KllSketch(k=8, seed=5)
+        fill_weighted(rng, sk, 60)
+        assert len(sk._levels) > 2
+        digest = hashlib.sha256()
+        for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+            digest.update(pickle.dumps(sk, protocol))
+        assert digest.hexdigest() == GOLDEN_PICKLE_DIGEST
