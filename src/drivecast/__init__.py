@@ -22,6 +22,7 @@ from .data_model import (
 )
 from .evaluation import (
     DayRecord,
+    Stream,
     compute_metrics,
     error_over_time,
     evaluate_fleet,
@@ -106,6 +107,7 @@ __all__ = [
     "QuantileKnn",
     "QuantileRegressor",
     "RunningStats",
+    "Stream",
     "TripSession",
     "VehicleHistory",
     "backward_sfs",

@@ -36,7 +36,7 @@ from .data_model import (
 )
 from .evaluation import compute_metrics, evaluate_fleet, write_records_csv
 from .exceptions import (ConfigError, DataError, DivergenceError,
-                         MissingArtifactError)
+                         InsufficientHistoryError, MissingArtifactError)
 from .features import FeatureSchema, default_schema
 from .selection import (
     backward_sfs,
@@ -319,6 +319,10 @@ def stage_evaluate(cfg: dict, out_root: Path) -> None:
                 raise ConfigError(
                     field, f"diverged on the evaluate cohort with params "
                     f"{hyper}: {e}") from None
+            except InsufficientHistoryError as e:
+                raise ConfigError(
+                    field, f"never answered on the evaluate cohort with "
+                    f"params {hyper}: {e}") from None
             res["hyper"] = hyper
             holdout_recs = [r for r in records
                             if r.vehicle_id in validation]

@@ -2,11 +2,14 @@
 
 Every day of every vehicle is scored in arrival order: the model first
 predicts an interval from yesterday's knowledge, then learns the truth.
-Days a model abstains on (not enough history yet) are still scored, using
-a running mean/std fallback, and flagged, because a deployed predictor
-must say something every morning.  The first ``warmup`` days per vehicle
-are recorded but excluded from all aggregate metrics, covering the cold
-start where any learner is still guessing.
+``Stream`` is that daily step, written once: ``morning`` transforms the
+day's features and predicts, ``evening`` learns the truth and reveals it
+to the feature pipeline.  Days a model abstains on (not enough history
+yet) are still scored, using the running mean ± z·std of the stream's
+past targets (the pipeline's ``target_stats``), and flagged, because a
+deployed predictor must say something every morning.  The first
+``warmup`` days per vehicle are recorded but excluded from all aggregate
+metrics, covering the cold start where any learner is still guessing.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .data_model import DailyExample
 from .exceptions import ConfigError, DataError, InsufficientHistoryError
-from .features import FeaturePipeline, FeatureSchema, RunningStats
+from .features import FeaturePipeline, FeatureSchema
 from .models import MODEL_KINDS, OnlineModel, PredictionInterval, make_model
 
 TARGETS = ("departure", "distance")
@@ -62,12 +65,41 @@ def target_of(example: DailyExample, target: str) -> float:
     raise ValueError(f"unknown target {target!r}; know {TARGETS}")
 
 
+class Stream:
+    """One (vehicle, target) predict-then-learn stream: a model and the
+    pipeline that feeds it.  Each day calls ``morning`` before the truth
+    is known and ``evening`` once it is; ``x`` carries the morning's
+    features to the evening."""
+
+    __slots__ = ("model", "pipeline", "x")
+
+    def __init__(self, model: OnlineModel, pipeline: FeaturePipeline):
+        self.model = model
+        self.pipeline = pipeline
+        self.x = None
+
+    def morning(self, features: dict) -> tuple[PredictionInterval, bool]:
+        """The day's interval and whether the model abstained; on an
+        abstention, the running mean ± z·std of the past targets."""
+        self.x = self.pipeline.transform(features)
+        try:
+            return self.model.predict_interval(self.x), False
+        except InsufficientHistoryError:
+            past = self.pipeline.target_stats
+            return PredictionInterval.gaussian(past.mean, past.std,
+                                               self.model.z), True
+
+    def evening(self, y: float) -> None:
+        self.model.learn_one(self.x, y)
+        self.pipeline.update_target(y)
+
+
 def progressive_validate(model: OnlineModel, pipeline: FeaturePipeline,
                          examples: list[DailyExample], target: str,
                          warmup: int = DEFAULT_WARMUP) -> list[DayRecord]:
     """Score one vehicle's stream day by day, learning after each score."""
+    stream = Stream(model, pipeline)
     records: list[DayRecord] = []
-    fallback = RunningStats()
     prev_day = None
     for i, ex in enumerate(examples):
         if prev_day is not None and ex.day <= prev_day:
@@ -76,21 +108,12 @@ def progressive_validate(model: OnlineModel, pipeline: FeaturePipeline,
                 f"{ex.day} after {prev_day}")
         prev_day = ex.day
         y = target_of(ex, target)
-        x = pipeline.transform(ex.features)
-        try:
-            pi = model.predict_interval(x)
-            abstained = False
-        except InsufficientHistoryError:
-            pi = PredictionInterval.gaussian(fallback.mean, fallback.std,
-                                             model.z)
-            abstained = True
+        pi, abstained = stream.morning(ex.features)
         records.append(DayRecord(
             vehicle_id=ex.vehicle_id, day=ex.day, y=y, point=pi.point,
             lower=pi.lower, upper=pi.upper, sigma=pi.sigma,
             abstained=abstained, warmup=i < warmup))
-        model.learn_one(x, y)
-        pipeline.update_target(y)
-        fallback.update(y)
+        stream.evening(y)
     return records
 
 
@@ -162,7 +185,8 @@ def evaluate_fleet(examples_by_vehicle: dict[str, list[DailyExample]],
     Each vehicle gets its own model instance and pipeline, seeded
     independently of fleet composition.  Returns (results, records);
     results is JSON-ready.  ConfigError on ``evaluate.warmup`` when the
-    warm-up covers every vehicle's whole stream.
+    warm-up covers every vehicle's whole stream; InsufficientHistoryError
+    when the model abstained on every day after it.
     """
     if within_tol is None:
         within_tol = DEFAULT_WITHIN_TOL[target]
@@ -187,6 +211,9 @@ def evaluate_fleet(examples_by_vehicle: dict[str, list[DailyExample]],
     if all(r.warmup for r in all_records):
         raise ConfigError("evaluate.warmup", f"no vehicle has a day after "
                           f"the {warmup}-day warm-up to score")
+    if all(r.warmup or r.abstained for r in all_records):
+        raise InsufficientHistoryError(
+            f"{kind} abstained on every day after the {warmup}-day warm-up")
     aggregate = compute_metrics(all_records, within_tol)
     results = {
         "model": kind,

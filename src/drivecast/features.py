@@ -308,18 +308,20 @@ class FeaturePipeline:
     ``transform`` injects the running target averages into the raw
     mapping, encodes, and standardizes.  ``update_target`` must be called
     once per day after the true target is revealed; until then the
-    averages reflect only past days.
+    averages reflect only past days.  ``target_stats`` is the running
+    mean and std of every target revealed so far: the ``target_hist_avg``
+    feature and the evaluation's abstention fallback both read it.
     """
 
     schema: FeatureSchema
     _std: OnlineStandardizer = field(init=False)
-    _target: RunningStats = field(init=False)
+    target_stats: RunningStats = field(init=False)
     _recent: deque = field(init=False)
 
     def __post_init__(self):
         self._std = OnlineStandardizer(self.schema.dim,
                                        self.schema.passthrough_mask())
-        self._target = RunningStats()
+        self.target_stats = RunningStats()
         self._recent = deque(maxlen=RUN_AVG_WINDOW)
 
     def with_target_averages(self, raw: dict) -> dict:
@@ -327,8 +329,8 @@ class FeaturePipeline:
         last ``RUN_AVG_WINDOW`` targets filled in; both are None before
         the first target is known."""
         raw = dict(raw)
-        if self._target.count > 0:
-            raw["target_hist_avg"] = self._target.mean
+        if self.target_stats.count > 0:
+            raw["target_hist_avg"] = self.target_stats.mean
             raw["target_run_avg"] = sum(self._recent) / len(self._recent)
         else:
             raw["target_hist_avg"] = None
@@ -347,5 +349,5 @@ class FeaturePipeline:
         predict-then-learn loop: ``update_target`` then marks the end of
         exactly one prequential step, which step timers count on."""
         y = float(y)
-        self._target.update(y)
+        self.target_stats.update(y)
         self._recent.append(y)

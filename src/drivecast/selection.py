@@ -22,7 +22,8 @@ import numpy as np
 
 from .data_model import DailyExample
 from .evaluation import DEFAULT_WARMUP, evaluate_fleet, target_of
-from .exceptions import ConfigError, DivergenceError
+from .exceptions import (ConfigError, DivergenceError,
+                         InsufficientHistoryError)
 from .features import FeaturePipeline, FeatureSchema
 
 VIF_THRESHOLD = 10.0
@@ -342,9 +343,10 @@ def grid_search(examples_by_vehicle: dict[str, list[DailyExample]],
 
     Combinations are scored by pooled progressive-validation MAE; ties
     keep the earliest combination in product order, so results do not
-    depend on dict hashing.  A combination whose learner diverges, or
-    whose MAE is not finite, is recorded with ``"mae": None`` and
-    skipped; ConfigError is raised when every combination is."""
+    depend on dict hashing.  A combination whose learner diverges or
+    abstains on every scored day, or whose MAE is not finite, is recorded
+    with ``"mae": None`` and skipped; ConfigError is raised when every
+    combination is."""
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must name at least one non-empty axis")
     keys = list(grid)
@@ -357,7 +359,7 @@ def grid_search(examples_by_vehicle: dict[str, list[DailyExample]],
                                     run_seed=run_seed, warmup=warmup,
                                     hyper=hyper)
             mae = res["aggregate"]["mae"]
-        except DivergenceError:
+        except (DivergenceError, InsufficientHistoryError):
             mae = math.nan
         finite = math.isfinite(mae)
         results.append({"params": hyper, "mae": mae if finite else None})
@@ -365,6 +367,7 @@ def grid_search(examples_by_vehicle: dict[str, list[DailyExample]],
             best = {"params": hyper, "mae": mae}
     if best is None:
         raise ConfigError(f"tune.grids.{kind}",
-                          f"every setting diverged on {target}")
+                          f"every setting diverged or abstained on "
+                          f"every scored day of {target}")
     return {"best": best["params"], "best_mae": best["mae"],
             "results": results}

@@ -453,9 +453,9 @@ class TestCliErrors:
         ("tune", {"qknn": {"kk": [3]}}, False, None, 2),  # misspelled name
         ("select", {}, True, None, 4),  # one-hot category the schema lacks
         ("tune", {"qr": {"lr": [1e300]}}, False, None, 2),  # all diverge
-        ("evaluate", {}, False, {"kk": 3}, 2),  # tuned.json names no param
-        ("evaluate", {}, False, {"lr": 1e300}, 2),  # tuned setting diverges
-        ("evaluate", {}, False, [0.1], 2),  # params are not an object
+        ("evaluate", {}, False, ("qr", {"kk": 3}), 2),  # names no param
+        ("evaluate", {}, False, ("qr", {"lr": 1e300}), 2),  # diverges
+        ("evaluate", {}, False, ("qr", [0.1]), 2),  # params not an object
         ("tune", {"qknn": {"k": [10.5]}}, False, None, 2),  # truncated count
         ("tune", {"qknn": {"k": [True]}}, False, None, 2),  # count as a bool
         ("tune", {"qarf": {"n_tree": [5]}}, False, None, 2),  # no tree takes
@@ -465,21 +465,26 @@ class TestCliErrors:
         ("tune", {"qarf": {"subspace": [2.5]}}, False, None, 2),
         ("tune", {"qarf": {"grace_period": [-5]}}, False, None, 2),
         ("tune", {"qarf": {"grace_period": [2.5]}}, False, None, 2),
+        # a window below min_neighbors: qknn never answers
+        ("tune", {"qknn": {"window": [3]}}, False, None, 2),
+        ("evaluate", {}, False, ("qknn", {"window": 3}), 2),
     ], ids=["unknown-param", "unknown-category", "all-diverge",
             "tuned-unknown-param", "tuned-diverges", "tuned-not-object",
             "fractional-count", "boolean-count", "forwarded-unknown-param",
             "one-bin", "constant-param", "negative-subspace",
             "fractional-subspace", "negative-grace-period",
-            "fractional-grace-period"])
+            "fractional-grace-period", "all-abstain", "tuned-all-abstain"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
                                          grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")
         cfg = write_config(tmp_path, tune={"max_vehicles": 2, "grids": grids},
-                           evaluate={"models": ["mean", "qr"], "warmup": 10})
+                           evaluate={"models": ["mean", "qr", "qknn"],
+                                     "warmup": 10})
         if tuned is not None:
+            kind, params = tuned
             path = tmp_path / "out" / "tune" / "tuned.json"
             edited = json.loads(path.read_text())
-            edited["departure"]["qr"] = {"params": tuned, "mae": 1.0}
+            edited["departure"][kind] = {"params": params, "mae": 1.0}
             path.write_text(json.dumps(edited))
         if dawn:
             path = tmp_path / "out" / "preprocess" / "examples.csv"
@@ -496,4 +501,4 @@ class TestCliErrors:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
         if tuned is not None:
-            assert "tuned.json departure.qr" in proc.stderr
+            assert f"tuned.json departure.{kind}" in proc.stderr

@@ -14,8 +14,10 @@ from drivecast.data_model import (
     preprocess_fleet,
 )
 from drivecast.evaluation import (
+    DEFAULT_WARMUP,
     TARGETS,
     DayRecord,
+    Stream,
     compute_metrics,
     error_over_time,
     evaluate_fleet,
@@ -33,6 +35,7 @@ from drivecast.features import (
 )
 from drivecast.models import (
     MODEL_KINDS,
+    MeanBaseline,
     OnlineModel,
     PredictionInterval,
     make_model,
@@ -282,6 +285,12 @@ class TestEvaluateFleet:
         assert "veh-tiny" not in res["per_vehicle"]
         assert res["n_vehicles"] == 2
 
+    def test_abstaining_on_every_scored_day_raises(self):
+        fleet = self.fleet()
+        with pytest.raises(InsufficientHistoryError, match="every day after"):
+            evaluate_fleet(fleet, "qknn", small_schema(), "departure",
+                           warmup=10, hyper={"window": 3})
+
     def test_every_model_kind_runs(self):
         fleet = {"veh-a": self.fleet()["veh-a"][:40]}
         for kind in MODEL_KINDS:
@@ -332,6 +341,91 @@ class TestGoldenRecords:
             digests[kind] = digest.hexdigest()
         assert n_records > 0
         assert digests == GOLDEN_RECORDS_DIGESTS
+
+
+def golden_fleet():
+    """``TestGoldenRecords``' fleet: each vehicle's daily examples."""
+    fleet, _ = generate_fleet(n_regular=2, n_irregular=1, n_days=120, seed=0)
+    kept, _ = preprocess_fleet(fleet)
+    return {vid: build_daily_examples(kept[vid]) for vid in sorted(kept)}
+
+
+def bits(pi, abstained, warmup):
+    """A record's interval fields as ``repr``s, which round-trip floats."""
+    return (repr(pi.point), repr(pi.lower), repr(pi.upper), repr(pi.sigma),
+            abstained, warmup)
+
+
+class TestServingOrder:
+    def test_day_major_streams_match_progressive_validate(self):
+        """A serving loop keeps every vehicle's stream open: each calendar
+        morning it predicts for every vehicle with an example that day,
+        and each evening it learns their truths.  Every record, abstained
+        days included, equals ``progressive_validate``'s bit for bit."""
+        examples = golden_fleet()
+        schema = default_schema()
+        days = {}
+        for vid, exs in examples.items():
+            for i, ex in enumerate(exs):
+                days.setdefault(ex.day, []).append((vid, i, ex))
+        n_abstained = 0
+        for kind in MODEL_KINDS:
+            for target in TARGETS:
+                def stream(vid):
+                    return Stream(make_model(kind, schema.dim,
+                                             seed=stable_seed(0, vid, kind,
+                                                              target)),
+                                  FeaturePipeline(schema))
+
+                streams = {vid: stream(vid) for vid in examples}
+                got = {vid: [] for vid in examples}
+                for day in sorted(days):
+                    for vid, i, ex in days[day]:
+                        pi, abstained = streams[vid].morning(ex.features)
+                        got[vid].append(
+                            bits(pi, abstained, i < DEFAULT_WARMUP))
+                    for vid, _, ex in days[day]:
+                        streams[vid].evening(target_of(ex, target))
+                for vid, exs in examples.items():
+                    ref = stream(vid)
+                    want = progressive_validate(ref.model, ref.pipeline, exs,
+                                                target)
+                    assert got[vid] == [bits(r, r.abstained, r.warmup)
+                                        for r in want], (kind, target, vid)
+                    n_abstained += sum(r.abstained for r in want)
+        assert n_abstained > 0
+
+
+class TestStepCount:
+    def test_each_example_is_one_step(self, monkeypatch):
+        """One step per example: ``transform``, ``predict_interval``,
+        ``learn_one`` and ``update_target``, once each and in that order,
+        with ``remember_target`` called only inside ``update_target``.
+        Step timers count steps by these calls."""
+        log = []
+
+        def spy(cls, name):
+            inner = getattr(cls, name)
+
+            def call(self, *args):
+                log.append(name)
+                try:
+                    return inner(self, *args)
+                finally:
+                    log.append("/" + name)
+            monkeypatch.setattr(cls, name, call)
+
+        for name in ("transform", "update_target", "remember_target"):
+            spy(FeaturePipeline, name)
+        for name in ("predict_interval", "learn_one"):
+            spy(MeanBaseline, name)
+        examples = golden_fleet()
+        evaluate_fleet(examples, "mean", default_schema(), "departure")
+        step = ["transform", "/transform", "predict_interval",
+                "/predict_interval", "learn_one", "/learn_one",
+                "update_target", "remember_target", "/remember_target",
+                "/update_target"]
+        assert log == step * sum(len(exs) for exs in examples.values())
 
 
 class TestRecordsCsv:

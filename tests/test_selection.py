@@ -415,6 +415,22 @@ class TestGridSearch:
             grid_search(fleet, abc_schema(), "departure", "qr",
                         {"lr": [1e300]}, run_seed=2, warmup=10)
 
+    def test_abstaining_setting_recorded_and_skipped(self):
+        # a window below min_neighbors never holds enough neighbors
+        fleet = eval_fleet(seed=1)
+        res = grid_search(fleet, abc_schema(), "departure", "qknn",
+                          {"window": [3, 365]}, run_seed=2, warmup=10)
+        assert res["results"][0] == {"params": {"window": 3}, "mae": None}
+        assert res["best"] == {"window": 365}
+        with pytest.raises(ConfigError, match="abstained"):
+            grid_search(fleet, abc_schema(), "departure", "qknn",
+                        {"window": [3]}, run_seed=2, warmup=10)
+        # the same window answers once min_neighbors fits inside it
+        res = grid_search(fleet, abc_schema(), "departure", "qknn",
+                          {"window": [3], "min_neighbors": [1]},
+                          run_seed=2, warmup=10)
+        assert res["results"][0]["mae"] is not None
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search({}, abc_schema(), "departure", "qknn", {})
