@@ -3,6 +3,8 @@
 Kernels here are the per-observation inner loops that dominate long runs:
 the sliding-window KNN distance scan, the leaves' split-gain scan of the
 incremental trees, and the adaptive-window cut scan of the drift detector.
+Their arrays hold a few dozen values, so a numpy call costs more than its
+arithmetic, and each kernel is written to make few of them.
 Callers look each kernel up as ``_kernels.<name>`` at call time, so a
 profiler that wraps the module attribute sees every call.
 """
@@ -31,43 +33,40 @@ def split_gains(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray):
 
     Every row is scored from its own bins alone: the rows of several
     leaves stacked into one call give, row for row, bit for bit, what one
-    call per leaf gives.
+    call per leaf gives.  The left-hand statistics of every boundary are
+    the cumulative sums of the stack and the right-hand ones one
+    subtraction from its totals; both sides are scored together.  A
+    boundary counts only with a value on each side of a row of at least 2
+    values and positive variance, so each division is left unguarded and
+    the boundaries that fail are masked after the scan.
     """
     stats = np.stack((counts, sums, sumsqs))
-    n, s, q = stats.sum(axis=2)
-
-    n_feat, n_bins = counts.shape
-    best_gain = np.zeros(n_feat)
-    best_bin = np.full(n_feat, -1, dtype=np.int64)
-
-    valid_parent = n >= 2.0
-    if not valid_parent.any():
-        return best_gain, best_bin
+    totals = stats.sum(axis=2)
+    n, s, q = totals
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.where(n > 0, s / np.maximum(n, 1.0), 0.0)
-        var = np.where(n > 0, q / np.maximum(n, 1.0) - mu * mu, 0.0)
+        mu = s / n
+        var = q / n - mu * mu
+    row_ok = (n >= 2.0) & (var > 1e-12)
+    if not row_ok.any():
+        return np.zeros(len(n)), np.full(len(n), -1, dtype=np.int64)
 
-    n0, s0, q0 = np.cumsum(stats[:, :, :-1], axis=2)
-    n1 = n[:, None] - n0
-    s1 = s[:, None] - s0
-    q1 = q[:, None] - q0
-
-    ok = (n0 >= 1.0) & (n1 >= 1.0) & valid_parent[:, None] & (var[:, None] > 1e-12)
+    # (side, statistic, feature, boundary): left of each boundary, then right
+    sides = np.empty((2,) + stats[:, :, :-1].shape)
+    np.cumsum(stats[:, :, :-1], axis=2, out=sides[0])
+    np.subtract(totals[:, :, None], sides[0], out=sides[1])
+    cnt, sm, sq = sides[:, 0], sides[:, 1], sides[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        m0 = s0 / np.maximum(n0, 1.0)
-        m1 = s1 / np.maximum(n1, 1.0)
-        v0 = np.maximum(q0 / np.maximum(n0, 1.0) - m0 * m0, 0.0)
-        v1 = np.maximum(q1 / np.maximum(n1, 1.0) - m1 * m1, 0.0)
-        child = (n0 * v0 + n1 * v1) / np.maximum(n[:, None], 1.0)
-        red = (var[:, None] - child) / np.where(var[:, None] > 1e-12, var[:, None], 1.0)
-    red = np.where(ok, red, -1.0)
+        m = sm / cnt
+        nv = cnt * np.maximum(sq / cnt - m * m, 0.0)
+        child = (nv[0] + nv[1]) / n[:, None]
+        red = (var[:, None] - child) / var[:, None]
+    has = cnt >= 1.0
+    red[~(has[0] & has[1] & row_ok[:, None])] = -1.0
 
-    idx = np.argmax(red, axis=1)
-    gain = red[np.arange(n_feat), idx]
+    idx = red.argmax(axis=1)
+    gain = red[np.arange(len(n)), idx]
     found = gain > 0.0
-    best_gain[found] = gain[found]
-    best_bin[found] = idx[found]
-    return best_gain, best_bin
+    return np.where(found, gain, 0.0), np.where(found, idx, -1)
 
 
 def adwin_cut(counts: np.ndarray, sums: np.ndarray, sumsqs: np.ndarray,

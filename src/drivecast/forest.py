@@ -205,12 +205,15 @@ class HoeffdingTree:
         """Split the leaf at ``route`` on the best of the features ``sel``
         scored ``gains`` and ``bins``, if the Hoeffding test accepts it."""
         leaf, parent, left = route
-        order = np.argsort(gains, kind="stable")[::-1]
-        best = int(order[0])
-        best_gain = float(gains[best])
+        # the order of np.argsort(gains, kind="stable")[::-1]: by gain,
+        # the later of two equal gains first
+        gains = gains.tolist()
+        order = sorted(range(len(gains)), key=gains.__getitem__)[::-1]
+        best = order[0]
+        best_gain = gains[best]
         if best_gain <= 0.0 or bins[best] < 0:
             return
-        second_gain = float(gains[int(order[1])]) if len(sel) > 1 else 0.0
+        second_gain = gains[order[1]] if len(sel) > 1 else 0.0
         eps = hoeffding_bound(1.0, DELTA_SPLIT, leaf.n)
         if not (best_gain - second_gain > eps or eps < TIE_TAU):
             return
@@ -328,13 +331,6 @@ class AdaptiveForest:
             seed = int(seed_source.generate_state(1)[0] & 0x7FFFFFFF)
         return HoeffdingTree(self.n_features, seed=seed, **self._tree_kw)
 
-    def _leaves(self, x: np.ndarray) -> list:
-        return [tree._descend(x)[0] for tree in self.trees]
-
-    def _mean(self, leaves: list) -> float:
-        return float(np.mean([tree._value(leaf)
-                              for tree, leaf in zip(self.trees, leaves)]))
-
     def learn_one(self, x, y: float) -> None:
         y = check_target(y)
         x = check_features(x, self.n_features)
@@ -380,16 +376,11 @@ class AdaptiveForest:
 
     # -- interval support ------------------------------------------------
 
-    @staticmethod
-    def _populated(leaves: list) -> list[KllSketch]:
-        return [leaf.sketch for leaf in leaves if leaf.sketch.n > 0]
-
     def merged_sketch(self, x) -> KllSketch:
         """Sketch of the targets in every tree's routed leaf: ``merge``
         folded over the populated leaves in tree order, starting from a
         copy of the first, so no leaf's own sketch is handed out."""
-        sketches = self._populated(
-            self._leaves(check_features(x, self.n_features)))
+        sketches = self.predict_sketches(x)[1]
         if not sketches:
             raise InsufficientHistoryError("no populated leaves for this input")
         return functools.reduce(KllSketch.merge, sketches[1:],
@@ -401,5 +392,12 @@ class AdaptiveForest:
 
         ``streaming.describe`` reads an interval from the sketches' pooled
         items, with none of the compactions of ``merged_sketch``."""
-        leaves = self._leaves(check_features(x, self.n_features))
-        return self._mean(leaves), self._populated(leaves)
+        x = check_features(x, self.n_features)
+        values, sketches = [], []
+        for tree in self.trees:
+            leaf = tree._descend(x)[0]
+            values.append(tree._value(leaf))
+            if leaf.sketch.n > 0:
+                sketches.append(leaf.sketch)
+        # numpy's pairwise sum, as np.mean adds
+        return float(np.add.reduce(values)) / len(values), sketches

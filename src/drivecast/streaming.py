@@ -9,6 +9,11 @@ adaptive window maintains an exponential histogram over a value stream
 and shrinks itself whenever two adjacent sub-windows have statistically
 distinct means, which doubles as a drift signal.
 
+An interval query pools the sketches' items in one sort and reads every
+quantile from one search of their cumulative weights.  A window refuses a
+value that is not finite, and a sketch a seed that is not an integer >= 0,
+before any bucket or item changes.
+
 Both keep their floats in flat ``array("d")`` buffers: a sketch level is
 one, and a window's bucket counts, sums and sums of squares are three.
 Updates are Python float adds and multiplies, the same IEEE-754 double
@@ -32,6 +37,9 @@ from .exceptions import InsufficientHistoryError
 _C = 2.0 / 3.0
 # Most ADWIN buckets kept per level of the exponential histogram.
 _MAX_BUCKETS = 5
+# Weight of an item at each level of a sketch: one at level h stands for
+# 2^h inserted values.
+_POW2 = [2.0 ** h for h in range(64)]
 
 
 class KllSketch:
@@ -50,6 +58,10 @@ class KllSketch:
     def __init__(self, k: int = 200, seed: int = 0):
         if not isinstance(k, (int, np.integer)) or k < 8:
             raise ValueError("k must be an integer >= 8")
+        # the seed reaches numpy's generator only at the first compaction,
+        # so a bad one is refused here, before any insert counts
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         self.k = int(k)
         self.seed = int(seed)
         self.n = 0
@@ -176,8 +188,7 @@ class KllSketch:
             raise ValueError("q must be in [0, 1]")
         if self.n == 0:
             raise InsufficientHistoryError("empty sketch")
-        v, w = _weighted_items((self,))
-        return _quantile_of(v, np.cumsum(w), self.n, q)
+        return _quantiles(*_weighted_items((self,)), self.n, (q,))[0]
 
     def moments(self) -> tuple[float, float]:
         """Gaussian fit (mean, std) from the weighted retained items."""
@@ -189,25 +200,32 @@ class KllSketch:
 def _weighted_items(sketches) -> tuple[np.ndarray, np.ndarray]:
     """Every retained item of the sketches, sorted, with its weight: an
     item at level h of its sketch stands for 2^h inserted values."""
-    levels = [lvl for sk in sketches for lvl in sk._levels]
+    levels, weights, lengths = [], [], []
+    for sk in sketches:
+        for h, lvl in enumerate(sk._levels):
+            levels.append(lvl)
+            weights.append(_POW2[h])
+            lengths.append(len(lvl))
     v = np.frombuffer(b"".join(levels))
-    heights = [h for sk in sketches for h in range(len(sk._levels))]
-    w = np.repeat(2.0 ** np.array(heights), [len(lvl) for lvl in levels])
+    w = np.repeat(weights, lengths)
     order = np.argsort(v, kind="stable")
     return v[order], w[order]
 
 
-def _quantile_of(v: np.ndarray, cum: np.ndarray, n: int, q: float) -> float:
-    target = max(q * n, 1.0)
-    idx = int(np.searchsorted(cum, target, side="left"))
-    idx = min(idx, len(v) - 1)
-    return float(v[idx])
+def _quantiles(v: np.ndarray, w: np.ndarray, n: int, qs) -> list[float]:
+    """The item at rank max(q * n, 1) of the weighted items, for every q,
+    from one cumulative sum and one search."""
+    idx = np.searchsorted(np.cumsum(w), [max(q * n, 1.0) for q in qs],
+                          side="left")
+    np.minimum(idx, len(v) - 1, out=idx)
+    return v[idx].tolist()
 
 
 def _moments_of(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     total = w.sum()
     mean = float((w * v).sum() / total)
-    var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
+    d = v - mean
+    var = float((w * (d * d)).sum() / (total - 1.0))
     return mean, math.sqrt(max(var, 0.0))
 
 
@@ -217,15 +235,16 @@ def describe(sketches, qs) -> tuple[list[float], float, float]:
 
     Each item keeps its own sketch's weight, so nothing is compacted: one
     sketch answers exactly as its ``quantile`` and ``moments`` do, and the
-    rank error of the pool is at most the largest of its sketches'."""
+    rank error of the pool is at most the largest of its sketches'.  All
+    of ``qs`` are answered by one search of the items' cumulative
+    weights."""
     if not all(0.0 <= q <= 1.0 for q in qs):
         raise ValueError("q must be in [0, 1]")
     n = sum(sk.n for sk in sketches)
     if n < 2:
         raise InsufficientHistoryError("need at least 2 values for moments")
     v, w = _weighted_items(sketches)
-    cum = np.cumsum(w)
-    return [_quantile_of(v, cum, n, q) for q in qs], *_moments_of(v, w)
+    return _quantiles(v, w, n, qs), *_moments_of(v, w)
 
 
 class AdwinWindow:
@@ -282,12 +301,18 @@ class AdwinWindow:
         """Insert one value; returns True when a distribution shift was cut.
 
         ``scan=False`` leaves the search for a cut to the caller, who runs
-        it for many windows at once (see ``update_many``)."""
+        it for many windows at once (see ``update_many``).  A value that
+        is not finite raises ``ValueError`` before any bucket changes."""
         v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"window values must be finite, got {v!r}")
         self._counts.append(1.0)
         self._sums.append(v)
         self._sumsqs.append(v * v)
-        self._compress()
+        # no size can have overflowed while the window holds at most
+        # _MAX_BUCKETS buckets
+        if len(self._counts) > _MAX_BUCKETS:
+            self._compress()
         return scan and bool(_cut_windows([self]))
 
     # -- introspection --------------------------------------------------
@@ -316,16 +341,17 @@ def _cut_windows(windows) -> set:
         rows = [len(w._counts) for w in scanning]
         width = max(rows)
         # one copy of every window's buffers, each zero-padded to the
-        # widest, as a (statistic, window, row) stack
+        # widest, as a (window, statistic, row) stack
         pad = memoryview(bytes(8 * width))
-        stats = np.frombuffer(b"".join([
-            part for stat in ("_counts", "_sums", "_sumsqs")
-            for w, r in zip(scanning, rows)
-            for part in (getattr(w, stat), pad[8 * r:])]))
-        stats = stats.reshape(3, len(scanning), width)
+        parts = []
+        for w, r in zip(scanning, rows):
+            tail = pad[8 * r:]
+            parts += (w._counts, tail, w._sums, tail, w._sumsqs, tail)
+        stats = np.frombuffer(b"".join(parts)).reshape(len(scanning), 3,
+                                                        width)
         found = _kernels.adwin_cut(
-            stats[0], stats[1], stats[2],
-            np.array([w.delta for w in scanning]), np.array(rows))
+            stats[:, 0], stats[:, 1], stats[:, 2],
+            np.array([w.delta for w in scanning]), np.array(rows)).tolist()
         still = []
         for w, at in zip(scanning, found):
             if at < 0:
@@ -342,7 +368,12 @@ def _cut_windows(windows) -> set:
 
 def update_many(windows, values) -> list[bool]:
     """``[w.update(v) for w, v in zip(windows, values)]`` with the cut
-    scans of every window in one kernel call per round."""
+    scans of every window in one kernel call per round.  Every value is
+    checked before any window is fed, so one that is not finite raises
+    ``ValueError`` with every window unchanged."""
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("window values must be finite")
     for w, v in zip(windows, values):
         w.update(v, scan=False)
     cut = _cut_windows(windows)

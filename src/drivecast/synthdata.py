@@ -163,8 +163,8 @@ class _DriverSim:
                ) -> list[TripSession]:
         """One drive as one or (occasionally) two split sessions."""
         rng = self.rng
-        speed = float(np.clip(22.0 + 9.0 * math.sqrt(distance)
-                              + rng.normal(0.0, 4.0), 18.0, 115.0))
+        speed = min(max(22.0 + 9.0 * math.sqrt(distance)
+                        + rng.normal(0.0, 4.0), 18.0), 115.0)
         duration_h = max(distance / speed, 0.03)
         # drives never cross midnight: long tails get truncated in both
         # time and distance
@@ -173,10 +173,10 @@ class _DriverSim:
             duration_h = max(available, 0.03)
             distance = duration_h * speed
         temp = _season_temp(day, rng)
-        self.soc = float(np.clip(self.soc + rng.normal(-1.0, 4.0), 30.0, 95.0))
+        self.soc = min(max(self.soc + rng.normal(-1.0, 4.0), 30.0), 95.0)
 
         def session(s_h: float, e_h: float, dist: float) -> TripSession:
-            spd = float(np.clip(speed + rng.normal(0.0, 2.0), 15.0, 120.0))
+            spd = min(max(speed + rng.normal(0.0, 2.0), 15.0), 120.0)
             return TripSession(
                 self.vid, _dt(day, s_h), _dt(day, e_h), round(dist, 3),
                 speed_mean=round(spd, 2),
@@ -240,7 +240,7 @@ class _DriverSim:
                 departure = float(rng.normal(
                     p.weekend_departure_mean + dep_off,
                     p.weekend_departure_std))
-            departure = float(np.clip(departure, 0.5, 21.5))
+            departure = min(max(departure, 0.5), 21.5)
 
             if p.distance_range:
                 distance = float(rng.uniform(*p.distance_range)) + dist_off
@@ -313,8 +313,8 @@ class _DriverSim:
             if end <= start:
                 continue
             prev_dist = sum(t.distance_km for t in by_day[day])
-            soc = float(np.clip(78.0 - 0.45 * prev_dist + rng.normal(0, 6.0),
-                                5.0, 95.0))
+            soc = min(max(78.0 - 0.45 * prev_dist + rng.normal(0, 6.0), 5.0),
+                      95.0)
             charges.append(ChargeSession(self.vid, start, end,
                                          soc_initial_pct=round(soc, 2)))
         return charges

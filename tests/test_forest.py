@@ -209,6 +209,72 @@ class TestLearnLeaves:
             assert not leaf.stats[0, 2, 1:].any()
 
 
+def reference_split_if_best(tree, route, sel, gains, bins):
+    """``HoeffdingTree._split_if_best`` as first written, ranking the
+    gains with numpy: the oracle for the ranking the tree does now."""
+    leaf, parent, left = route
+    order = np.argsort(gains, kind="stable")[::-1]
+    best = int(order[0])
+    best_gain = float(gains[best])
+    if best_gain <= 0.0 or bins[best] < 0:
+        return
+    second_gain = float(gains[int(order[1])]) if len(sel) > 1 else 0.0
+    eps = hoeffding_bound(1.0, forest_module.DELTA_SPLIT, leaf.n)
+    if not (best_gain - second_gain > eps or eps < forest_module.TIE_TAU):
+        return
+    feature = int(sel[best])
+    lo, hi = leaf.ranges[:, feature]
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        return
+    threshold = lo + (int(bins[best]) + 1) * (hi - lo) / tree.n_bins
+    if not lo < threshold < hi:
+        return
+    node = forest_module._Node(feature, float(threshold),
+                               tree._new_leaf(leaf.depth + 1),
+                               tree._new_leaf(leaf.depth + 1))
+    if parent is None:
+        tree.root = node
+    elif left:
+        parent.left = node
+    else:
+        parent.right = node
+    tree.n_splits += 1
+
+
+class TestSplitRanking:
+    def test_equals_numpy_ranking_with_ties(self):
+        """Gains drawn from a few values, so the best and the runner-up
+        often tie, on leaves with few and many values: the tree splits,
+        or not, on the feature and threshold the numpy ranking gives, and
+        draws the same seeds."""
+        rng = np.random.default_rng(38)
+        n_features = 8
+        splits = tie_decided = 0
+        for _ in range(1000):
+            tree = HoeffdingTree(n_features, seed=int(rng.integers(99)),
+                                 n_bins=int(rng.integers(2, 12)))
+            leaf = tree.root
+            leaf.n = float(rng.choice([3.0, 60.0, 5000.0]))
+            lo = rng.normal(size=n_features)
+            leaf.ranges[0] = lo
+            leaf.ranges[1] = lo + rng.choice([0.0, 1e-300, 1.0, 4.0],
+                                             n_features)
+            size = int(rng.integers(1, n_features + 1))
+            sel = rng.choice(n_features, size=size, replace=False)
+            gains = rng.choice([0.0, 0.2, 0.2 + 1e-3, 0.6, 0.6], size)
+            bins = rng.integers(-1, tree.n_bins - 1, size)
+            ours, theirs = copy.deepcopy(tree), copy.deepcopy(tree)
+            ours._split_if_best((ours.root, None, False), sel, gains, bins)
+            reference_split_if_best(theirs, (theirs.root, None, False), sel,
+                                    gains, bins)
+            assert pickle.dumps(ours) == pickle.dumps(theirs)
+            splits += ours.n_splits
+            top = np.flatnonzero(gains == gains.max())
+            tie_decided += bool(ours.n_splits and len(top) > 1
+                                and ours.root.feature == sel[top[-1]])
+        assert splits > 120 and tie_decided > 40
+
+
 class TestAdaptiveForest:
     def test_learns_and_averages(self):
         rng = np.random.default_rng(10)

@@ -183,6 +183,114 @@ class TestStackedSplitGains:
         assert short > 300 and one_bin > 1000 and found > 600
 
 
+def reference_split_gains(counts, sums, sumsqs):
+    """The split-gain scan as first written, with a guard on every
+    division and both sides built separately: the faster kernel must give
+    its gains and bins bit for bit."""
+    stats = np.stack((counts, sums, sumsqs))
+    n, s, q = stats.sum(axis=2)
+
+    n_feat, n_bins = counts.shape
+    best_gain = np.zeros(n_feat)
+    best_bin = np.full(n_feat, -1, dtype=np.int64)
+
+    valid_parent = n >= 2.0
+    if not valid_parent.any():
+        return best_gain, best_bin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = np.where(n > 0, s / np.maximum(n, 1.0), 0.0)
+        var = np.where(n > 0, q / np.maximum(n, 1.0) - mu * mu, 0.0)
+
+    n0, s0, q0 = np.cumsum(stats[:, :, :-1], axis=2)
+    n1 = n[:, None] - n0
+    s1 = s[:, None] - s0
+    q1 = q[:, None] - q0
+
+    ok = ((n0 >= 1.0) & (n1 >= 1.0) & valid_parent[:, None]
+          & (var[:, None] > 1e-12))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m0 = s0 / np.maximum(n0, 1.0)
+        m1 = s1 / np.maximum(n1, 1.0)
+        v0 = np.maximum(q0 / np.maximum(n0, 1.0) - m0 * m0, 0.0)
+        v1 = np.maximum(q1 / np.maximum(n1, 1.0) - m1 * m1, 0.0)
+        child = (n0 * v0 + n1 * v1) / np.maximum(n[:, None], 1.0)
+        red = (var[:, None] - child) / np.where(var[:, None] > 1e-12,
+                                                var[:, None], 1.0)
+    red = np.where(ok, red, -1.0)
+
+    idx = np.argmax(red, axis=1)
+    gain = red[np.arange(n_feat), idx]
+    found = gain > 0.0
+    best_gain[found] = gain[found]
+    best_bin[found] = idx[found]
+    return best_gain, best_bin
+
+
+class TestSplitGainsOracle:
+    @staticmethod
+    def leaf(rng, m, n_bins):
+        """A leaf's histogram with every hard row: fewer than 2 values, one
+        occupied bin, one target value only, and two occupied bins with
+        empty ones between, whose boundaries all tie; weights include 0
+        and fractions, as a tree's ``learn_one`` may take."""
+        stats = np.zeros((3, m, n_bins))
+        for f in range(m):
+            kind = int(rng.integers(0, 5))
+            if kind == 0:
+                cells = rng.integers(0, n_bins, rng.integers(0, 3))
+            elif kind == 1:
+                cells = np.full(rng.integers(1, 20), rng.integers(0, n_bins))
+            elif kind == 4:
+                ends = np.sort(rng.choice(n_bins, 2, replace=False))
+                cells = rng.choice(ends, rng.integers(2, 20))
+            else:
+                cells = rng.integers(0, n_bins, rng.integers(2, 60))
+            ys = rng.normal(rng.normal() * 3, rng.uniform(0.1, 5), len(cells))
+            if kind == 3:
+                ys[:] = ys[0]
+            w = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 7.0], len(cells))
+            np.add.at(stats[0, f], cells, w)
+            np.add.at(stats[1, f], cells, w * ys)
+            np.add.at(stats[2, f], cells, w * ys * ys)
+        if m > 1 and rng.random() < 0.3:
+            stats[:, -1] = stats[:, 0]  # a tie between two features
+        return stats
+
+    def test_equals_reference_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        short = one_bin = flat = tied = found = 0
+        for _ in range(400):
+            n_bins = int(rng.integers(2, 16))
+            stats = self.leaf(rng, int(rng.integers(1, 13)), n_bins)
+            gains, bins = _kernels.split_gains(*stats)
+            want_gains, want_bins = reference_split_gains(*stats)
+            assert gains.tobytes() == want_gains.tobytes()
+            assert bins.tobytes() == want_bins.tobytes()
+            assert bins.dtype == want_bins.dtype
+            n = stats[0].sum(axis=1)
+            short += int((n < 2).sum())
+            one_bin += int(((stats[0] > 0).sum(axis=1) == 1).sum())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                var = stats[2].sum(axis=1) / n - (stats[1].sum(axis=1) / n) ** 2
+            flat += int(((n >= 2) & (np.abs(var) <= 1e-12)).sum())
+            found += int((bins >= 0).sum())
+            # two occupied bins with an empty one between: every boundary
+            # from the first to the one before the second scores the same
+            occupied = [np.flatnonzero(c) for c in stats[0]]
+            tied += sum(len(o) == 2 and o[1] - o[0] > 1 and b >= 0
+                        for o, b in zip(occupied, bins))
+        assert min(short, one_bin, flat, tied) > 100 and found > 500
+
+    def test_ties_within_a_row_take_the_first_boundary(self):
+        # values only in bins 1 and 5: boundaries 1 to 4 split alike
+        stats = np.zeros((3, 1, 8))
+        stats[:, 0, 1] = (2.0, 2.0, 2.0)
+        stats[:, 0, 5] = (3.0, 30.0, 300.0)
+        gains, bins = _kernels.split_gains(*stats)
+        assert bins.tolist() == [1] and gains[0] == pytest.approx(1.0)
+        assert gains.tobytes() == reference_split_gains(*stats)[0].tobytes()
+
+
 def brute_adwin_cut(counts, sums, sumsqs, delta):
     import math
     rows = len(counts)

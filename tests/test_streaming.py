@@ -220,6 +220,9 @@ class TestKllSketch:
             sk.insert(float("inf"))
         with pytest.raises(ValueError):
             KllSketch(k=4)
+        for seed in (-1, 1.5, "3", None):
+            with pytest.raises(ValueError):
+                KllSketch(64, seed=seed)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
            st.floats(0.0, 1.0))
@@ -509,6 +512,31 @@ class TestAdwinWindow:
         assert cut_steps[0] == cut_steps[1] == 0
         assert cut_steps[2] > 0 and cut_steps[3] > 0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_value_rejected_with_window_unchanged(self, bad):
+        """A value that is not finite raises before any bucket changes,
+        in ``update`` and in ``update_many``, and the window still cuts a
+        later shift as a clean one does."""
+        rng = np.random.default_rng(37)
+        clean, fed = AdwinWindow(0.002), AdwinWindow(0.002)
+        others = [AdwinWindow(0.01) for _ in range(3)]
+        for v in rng.normal(1.0, 0.1, 100):
+            clean.update(v)
+            update_many([fed] + others, [v] * 4)
+        before = [w.to_dict() for w in [fed] + others]
+        with pytest.raises(ValueError, match="finite"):
+            fed.update(bad)
+        with pytest.raises(ValueError, match="finite"):
+            update_many([fed] + others, [1.0, 1.0, bad, 1.0])
+        assert [w.to_dict() for w in [fed] + others] == before
+        assert repr(fed.to_dict()) == repr(clean.to_dict())
+        shift = rng.normal(5.0, 0.1, 100)
+        assert ([clean.update(v) for v in shift]
+                == [fed.update(v) for v in shift])
+        assert fed.n_drifts == clean.n_drifts > 0
+        assert fed.mean == clean.mean
+
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             AdwinWindow(delta=0.0)
@@ -544,6 +572,64 @@ def fill_weighted(rng, sketch, inserts):
         else:
             value = round(float(rng.normal(0.0, 2.0)), 2)
         sketch.insert(value, int(rng.integers(0, 13)))
+
+
+def reference_describe(sketches, qs):
+    """``describe`` and its pooled items as first written: the weights
+    from ``2.0 ** heights``, one search per quantile and squares by
+    ``** 2``.  The faster query must answer bit for bit as this does."""
+    levels = [lvl for sk in sketches for lvl in sk._levels]
+    v = np.frombuffer(b"".join(levels))
+    heights = [h for sk in sketches for h in range(len(sk._levels))]
+    w = np.repeat(2.0 ** np.array(heights), [len(lvl) for lvl in levels])
+    order = np.argsort(v, kind="stable")
+    v, w = v[order], w[order]
+    n = sum(sk.n for sk in sketches)
+    if n < 2:
+        return v, w, None
+    cum = np.cumsum(w)
+    quantiles = []
+    for q in qs:
+        idx = int(np.searchsorted(cum, max(q * n, 1.0), side="left"))
+        quantiles.append(float(v[min(idx, len(v) - 1)]))
+    total = w.sum()
+    mean = float((w * v).sum() / total)
+    var = float((w * (v - mean) ** 2).sum() / (total - 1.0))
+    return v, w, (quantiles, mean, math.sqrt(max(var, 0.0)))
+
+
+class TestDescribeOracle:
+    def test_equals_reference_bit_for_bit(self):
+        """1 to 12 pooled sketches of shared values (0.0 and -0.0 among
+        them) at several levels, filled by weighted inserts: the pooled
+        items, their order and every answer equal the reference's."""
+        rng = np.random.default_rng(36)
+        qs = (0.0, 0.05, 0.05, 0.1, 0.5, 0.9, 0.95, 1.0)
+        tall = signed_zeros = 0
+        for _ in range(60):
+            sketches = [KllSketch(k=int(rng.choice([8, 12, 16])),
+                                  seed=int(rng.integers(2 ** 31)))
+                        for _ in range(int(rng.integers(1, 13)))]
+            for sk in sketches:
+                fill_weighted(rng, sk, int(rng.integers(0, 40)))
+            v, w = streaming._weighted_items(sketches)
+            want_v, want_w, want = reference_describe(sketches, qs)
+            assert v.tobytes() == want_v.tobytes()
+            assert w.tobytes() == want_w.tobytes()
+            if want is not None:
+                got = describe(sketches, qs)
+                assert repr(got) == repr(want)
+                assert [math.copysign(1.0, q) for q in got[0]] == [
+                    math.copysign(1.0, q) for q in want[0]]
+            for sk in sketches:
+                if sk.n >= 2:
+                    alone = reference_describe([sk], qs)[2]
+                    assert repr([sk.quantile(q) for q in qs]) == repr(alone[0])
+                    assert repr(sk.moments()) == repr(alone[1:])
+            tall += max(len(sk._levels) for sk in sketches) > 2
+            signed_zeros += bool(np.signbit(v[v == 0.0]).any()
+                                 and (~np.signbit(v[v == 0.0])).any())
+        assert tall > 30 and signed_zeros > 30
 
 
 class TestCopies:
