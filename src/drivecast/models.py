@@ -228,8 +228,11 @@ class QuantileKnn(OnlineModel):
 
     Keeps the last ``window`` observations.  The point prediction is the
     mean of the k nearest targets; the interval bounds are empirical
-    quantiles of those targets.  Distance ties break toward the earlier
-    insertion, so predictions are exactly reproducible.
+    quantiles of those targets, and ``sigma`` is their sample standard
+    deviation (``None`` from a single neighbor, which has no spread).
+    Distance ties break toward the earlier insertion, so predictions are
+    exactly reproducible.  Learning writes one row and reads none: the
+    window is scanned once per query, in ``predict_interval``.
     """
 
     kind = "qknn"
@@ -250,13 +253,6 @@ class QuantileKnn(OnlineModel):
         self._stamps = np.zeros(self.window, dtype=np.int64)
         self.size = 0
         self._next = 0
-        self._residuals = RunningStats()
-
-    def _neighbors(self, x: np.ndarray) -> np.ndarray:
-        dists = _kernels.sq_distances(self._xs[: self.size], x)
-        order = np.lexsort((self._stamps[: self.size], dists))
-        kk = min(self.k, self.size)
-        return self._ys[: self.size][order[:kk]]
 
     def predict_interval(self, x) -> PredictionInterval:
         x = check_features(x, self.n_features)
@@ -264,8 +260,11 @@ class QuantileKnn(OnlineModel):
             raise InsufficientHistoryError(
                 f"need {self.min_neighbors} stored observations, "
                 f"have {self.size}")
-        neigh = np.sort(self._neighbors(x))
-        kk = len(neigh)
+        n = self.size
+        dists = _kernels.sq_distances(self._xs[:n], x)
+        order = np.lexsort((self._stamps[:n], dists))
+        kk = min(self.k, n)
+        neigh = np.sort(self._ys[:n][order[:kk]])
         point = float(neigh.mean())
         alpha = (1.0 - self.confidence) / 2.0
         # plotting-position ranks: the span between the chosen order
@@ -275,17 +274,12 @@ class QuantileKnn(OnlineModel):
         hi_rank = min(max(math.ceil((1.0 - alpha) * (kk + 1)), 1), kk) - 1
         lower = min(float(neigh[lo_rank]), point)
         upper = max(float(neigh[hi_rank]), point)
-        if kk >= 2:
-            sigma = float(neigh.std(ddof=1))
-        else:
-            sigma = self._residuals.std
+        sigma = float(neigh.std(ddof=1)) if kk >= 2 else None
         return PredictionInterval(point, lower, upper, sigma)
 
     def learn_one(self, x, y: float) -> None:
         y = check_target(y)
         x = check_features(x, self.n_features)
-        if self.size > 0:
-            self._residuals.update(y - float(self._neighbors(x).mean()))
         i = self._next
         self._xs[i] = x
         self._ys[i] = y

@@ -301,11 +301,12 @@ class AdwinWindow:
         """Insert one value; returns True when a distribution shift was cut.
 
         ``scan=False`` leaves the search for a cut to the caller, who runs
-        it for many windows at once (see ``update_many``).  A value that
-        is not finite raises ``ValueError`` before any bucket changes."""
+        it for many windows at once (see ``update_many``).  A value whose
+        square is not finite raises ``ValueError`` before any bucket
+        changes."""
         v = float(v)
-        if not math.isfinite(v):
-            raise ValueError(f"window values must be finite, got {v!r}")
+        if not math.isfinite(v * v):
+            raise ValueError(f"window value {v!r} has no finite square")
         self._counts.append(1.0)
         self._sums.append(v)
         self._sumsqs.append(v * v)
@@ -369,11 +370,11 @@ def _cut_windows(windows) -> set:
 def update_many(windows, values) -> list[bool]:
     """``[w.update(v) for w, v in zip(windows, values)]`` with the cut
     scans of every window in one kernel call per round.  Every value is
-    checked before any window is fed, so one that is not finite raises
-    ``ValueError`` with every window unchanged."""
+    checked before any window is fed, so one whose square is not finite
+    raises ``ValueError`` with every window unchanged."""
     values = [float(v) for v in values]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("window values must be finite")
+    if not all(math.isfinite(v * v) for v in values):
+        raise ValueError("a window value has no finite square")
     for w, v in zip(windows, values):
         w.update(v, scan=False)
     cut = _cut_windows(windows)

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from drivecast import _kernels
 from drivecast.exceptions import DivergenceError, InsufficientHistoryError
 from drivecast.models import (
     MODEL_KINDS,
@@ -202,7 +203,10 @@ class TestQuantileKnn:
         model = QuantileKnn(1, k=1, window=10, min_neighbors=1)
         model.learn_one(np.array([1.0]), 100.0)
         model.learn_one(np.array([1.0]), 200.0)
-        assert model.predict_interval(np.array([1.0])).point == 100.0
+        pi = model.predict_interval(np.array([1.0]))
+        assert pi.point == 100.0
+        # a single neighbor has no spread
+        assert pi.sigma is None
 
     def test_needs_min_neighbors(self):
         model = QuantileKnn(2, min_neighbors=5)
@@ -220,6 +224,32 @@ class TestQuantileKnn:
         pi = model.predict_interval(np.zeros(1))
         # all stored points are equidistant; ties resolve to the 10 oldest
         assert pi.sigma == pytest.approx(np.std(ys[:10], ddof=1))
+
+    def test_one_window_scan_per_step_in_predict_only(self, monkeypatch):
+        """Learning reads no stored row; each query scans the stored rows
+        once, so the work per step stops growing once the window is full."""
+        scan, rows = _kernels.sq_distances, []
+
+        def counted(xs, x):
+            rows.append(len(xs))
+            return scan(xs, x)
+
+        monkeypatch.setattr(_kernels, "sq_distances", counted)
+        window = 30
+        model = QuantileKnn(2, k=5, window=window)
+        rng = np.random.default_rng(8)
+        work = []
+        for t in range(3 * window):
+            x = rng.normal(size=2)
+            if model.size >= model.min_neighbors:
+                model.predict_interval(x)
+            assert rows == ([min(t, window)] if t >= model.min_neighbors
+                            else [])
+            work.append(sum(rows))
+            rows.clear()
+            model.learn_one(x, float(rng.normal()))
+            assert rows == []
+        assert work[window:] == [window] * (2 * window)
 
 
 class TestQuantileForestModel:

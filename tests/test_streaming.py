@@ -513,11 +513,11 @@ class TestAdwinWindow:
         assert cut_steps[2] > 0 and cut_steps[3] > 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
-                                     float("-inf")])
+                                     float("-inf"), 1e200, -1e200])
     def test_non_finite_value_rejected_with_window_unchanged(self, bad):
-        """A value that is not finite raises before any bucket changes,
-        in ``update`` and in ``update_many``, and the window still cuts a
-        later shift as a clean one does."""
+        """A value whose square is not finite raises before any bucket
+        changes, in ``update`` and in ``update_many``, and the window still
+        cuts a later shift as a clean one does."""
         rng = np.random.default_rng(37)
         clean, fed = AdwinWindow(0.002), AdwinWindow(0.002)
         others = [AdwinWindow(0.01) for _ in range(3)]
