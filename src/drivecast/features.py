@@ -17,7 +17,10 @@ online: each column is shifted and scaled by the running mean and
 standard deviation of everything seen so far, with the statistics updated
 only after the current vector is transformed, so the output never
 depends on the example being encoded.  One-hot columns pass through
-unscaled.
+unscaled.  The standardizer holds one ``RunningStats`` per scaled column,
+the module's one Welford accumulator, and works on a row as a list of
+Python floats: with a few dozen columns per call, numpy's per-call cost
+would be most of the work.
 
 The rules every learner applies to its inputs and count settings live
 here once: ``check_features``, ``check_target`` and ``check_count``.
@@ -106,9 +109,15 @@ class FeatureSchema:
             raise ValueError("duplicate descriptor names")
         self.specs = list(specs)
         self._slices: dict[str, slice] = {}
+        # what ``encode`` reads per descriptor, compiled once: kind, name,
+        # source, first column, period, offset and category -> offset
+        self._plan = []
         at = 0
         for s in self.specs:
             self._slices[s.name] = slice(at, at + s.width)
+            self._plan.append((s.kind, s.name, s.source, at, s.period,
+                               s.offset, {c: s.categories.index(c)
+                                          for c in s.categories}))
             at += s.width
         self.dim = at
 
@@ -146,29 +155,32 @@ class FeatureSchema:
         return FeatureSchema([s for s in self.specs if s.name in keep])
 
     def encode(self, raw: dict) -> np.ndarray:
-        x = np.zeros(self.dim)
-        for s in self.specs:
-            sl = self._slices[s.name]
-            v = raw.get(s.source)
-            if s.kind == "onehot":
+        x = [0.0] * self.dim
+        for kind, name, source, at, period, offset, index in self._plan:
+            v = raw.get(source)
+            if kind == "onehot":
                 if v is None:
                     continue
-                if v not in s.categories:
+                try:
+                    x[at + index[v]] = 1.0
+                except (KeyError, TypeError):
                     raise DataError(
-                        f"unknown category {v!r} for descriptor {s.name}")
-                x[sl.start + s.categories.index(v)] = 1.0
+                        f"unknown category {v!r} for descriptor {name}"
+                    ) from None
                 continue
             if v is None or (isinstance(v, float) and math.isnan(v)):
-                x[sl] = np.nan
+                x[at] = math.nan
+                if kind == "cyclic":
+                    x[at + 1] = math.nan
                 continue
             v = float(v)
-            if s.kind == "numeric":
-                x[sl.start] = v
+            if kind == "numeric":
+                x[at] = v
             else:
-                phase = 2.0 * math.pi * (v - s.offset) / s.period
-                x[sl.start] = math.sin(phase)
-                x[sl.start + 1] = math.cos(phase)
-        return x
+                phase = 2.0 * math.pi * (v - offset) / period
+                x[at] = math.sin(phase)
+                x[at + 1] = math.cos(phase)
+        return np.array(x)
 
 
 def default_schema() -> FeatureSchema:
@@ -269,36 +281,37 @@ class OnlineStandardizer:
 
     def __init__(self, dim: int, passthrough: np.ndarray | None = None):
         self.dim = dim
-        self.passthrough = (np.zeros(dim, dtype=bool)
-                            if passthrough is None else np.asarray(passthrough))
-        self.count = np.zeros(dim)
-        self.mean = np.zeros(dim)
-        self._m2 = np.zeros(dim)
+        passthrough = ([False] * dim if passthrough is None
+                       else np.asarray(passthrough, dtype=bool).tolist())
+        if len(passthrough) != dim:
+            raise ValueError(
+                f"expected {dim} passthrough flags, got {len(passthrough)}")
+        # one RunningStats per scaled column, None for a passthrough one
+        self._stats = [None if p else RunningStats() for p in passthrough]
 
-    def std(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        ok = self.count >= 2
-        out[ok] = np.sqrt(np.maximum(self._m2[ok] / (self.count[ok] - 1), 0.0))
-        return out
+    @property
+    def count(self) -> np.ndarray:
+        """Finite values each column's statistics hold (0 if passthrough)."""
+        return np.array([0.0 if s is None else s.count for s in self._stats])
 
     def transform_update(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
-        std = self.std()
-        ready = (self.count >= 2) & (std > 1e-9) & np.isfinite(x)
-        z = np.zeros(self.dim)
-        z[ready] = np.clip((x[ready] - self.mean[ready]) / std[ready],
-                           -8.0, 8.0)
-        z[self.passthrough] = np.where(np.isfinite(x[self.passthrough]),
-                                       x[self.passthrough], 0.0)
-
-        finite = np.isfinite(x) & ~self.passthrough
-        self.count[finite] += 1
-        delta = x[finite] - self.mean[finite]
-        self.mean[finite] += delta / self.count[finite]
-        self._m2[finite] += delta * (x[finite] - self.mean[finite])
-        return z
+        z = [0.0] * self.dim
+        for j, (v, stats) in enumerate(zip(x.tolist(), self._stats)):
+            if not math.isfinite(v):
+                continue
+            if stats is None:
+                z[j] = v
+                continue
+            std = stats.std
+            if std > 1e-9:
+                # clipped as np.clip does it: a NaN stays NaN
+                zj = (v - stats.mean) / std
+                z[j] = 8.0 if zj > 8.0 else -8.0 if zj < -8.0 else zj
+            stats.update(v)
+        return np.array(z)
 
 
 @dataclass
@@ -310,7 +323,8 @@ class FeaturePipeline:
     once per day after the true target is revealed; until then the
     averages reflect only past days.  ``target_stats`` is the running
     mean and std of every target revealed so far: the ``target_hist_avg``
-    feature and the evaluation's abstention fallback both read it.
+    feature and the evaluation's abstention fallback both read it.  A
+    target that is not finite raises ``ValueError`` before either changes.
     """
 
     schema: FeatureSchema
@@ -348,6 +362,6 @@ class FeaturePipeline:
         """What ``update_target`` does, for batch encoders outside the
         predict-then-learn loop: ``update_target`` then marks the end of
         exactly one prequential step, which step timers count on."""
-        y = float(y)
+        y = check_target(y)
         self.target_stats.update(y)
         self._recent.append(y)

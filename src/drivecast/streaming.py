@@ -11,8 +11,9 @@ distinct means, which doubles as a drift signal.
 
 An interval query pools the sketches' items in one sort and reads every
 quantile from one search of their cumulative weights.  A window refuses a
-value that is not finite, and a sketch a seed that is not an integer >= 0,
-before any bucket or item changes.
+value that is not finite or exceeds ``WINDOW_VALUE_BOUND`` in magnitude,
+and a sketch a seed that is not an integer >= 0, before any bucket or item
+changes.
 
 Both keep their floats in flat ``array("d")`` buffers: a sketch level is
 one, and a window's bucket counts, sums and sums of squares are three.
@@ -40,6 +41,11 @@ _MAX_BUCKETS = 5
 # Weight of an item at each level of a sketch: one at level h stands for
 # 2^h inserted values.
 _POW2 = [2.0 ** h for h in range(64)]
+# Largest magnitude a drift window takes.  Its square is 1e200, so the
+# sums and sums of squares of up to 2^53 (about 9e15) such values stay
+# below 1e216 and every total, mean and variance of the cut scan is finite;
+# a bound only just under 1e154 would let four squares overflow a total.
+WINDOW_VALUE_BOUND = 1e100
 
 
 class KllSketch:
@@ -247,6 +253,15 @@ def describe(sketches, qs) -> tuple[list[float], float, float]:
     return _quantiles(v, w, n, qs), *_moments_of(v, w)
 
 
+def _window_value(v) -> float:
+    """``v`` as a float a drift window takes, or ``ValueError``."""
+    v = float(v)
+    if not abs(v) <= WINDOW_VALUE_BOUND:
+        raise ValueError(f"window value {v!r} is not finite or exceeds "
+                         f"{WINDOW_VALUE_BOUND:g} in magnitude")
+    return v
+
+
 class AdwinWindow:
     """Adaptive window over a value stream with drift detection.
 
@@ -301,12 +316,10 @@ class AdwinWindow:
         """Insert one value; returns True when a distribution shift was cut.
 
         ``scan=False`` leaves the search for a cut to the caller, who runs
-        it for many windows at once (see ``update_many``).  A value whose
-        square is not finite raises ``ValueError`` before any bucket
-        changes."""
-        v = float(v)
-        if not math.isfinite(v * v):
-            raise ValueError(f"window value {v!r} has no finite square")
+        it for many windows at once (see ``update_many``).  A value that is
+        not finite or exceeds ``WINDOW_VALUE_BOUND`` in magnitude raises
+        ``ValueError`` before any bucket changes."""
+        v = _window_value(v)
         self._counts.append(1.0)
         self._sums.append(v)
         self._sumsqs.append(v * v)
@@ -370,11 +383,9 @@ def _cut_windows(windows) -> set:
 def update_many(windows, values) -> list[bool]:
     """``[w.update(v) for w, v in zip(windows, values)]`` with the cut
     scans of every window in one kernel call per round.  Every value is
-    checked before any window is fed, so one whose square is not finite
-    raises ``ValueError`` with every window unchanged."""
-    values = [float(v) for v in values]
-    if not all(math.isfinite(v * v) for v in values):
-        raise ValueError("a window value has no finite square")
+    checked before any window is fed, so one that ``update`` refuses raises
+    ``ValueError`` with every window unchanged."""
+    values = [_window_value(v) for v in values]
     for w, v in zip(windows, values):
         w.update(v, scan=False)
     cut = _cut_windows(windows)

@@ -1,6 +1,7 @@
 """Encoders, schema plumbing, and online standardization."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from drivecast.features import (
     default_schema,
     part_of_day,
 )
+from drivecast.data_model import build_daily_examples, preprocess_fleet
+from drivecast.synthdata import generate_fleet
 
 
 class TestPartOfDay:
@@ -187,6 +190,8 @@ class TestOnlineStandardizer:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             OnlineStandardizer(3).transform_update(np.zeros(2))
+        with pytest.raises(ValueError, match="passthrough"):
+            OnlineStandardizer(3, passthrough=np.array([False, True]))
 
     @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60))
     @settings(max_examples=30, deadline=None)
@@ -254,3 +259,203 @@ class TestFeaturePipeline:
             assert z.shape == (35,)
             assert np.isfinite(z).all()
             pipe.update_target(7.0 + 0.1 * day)
+
+    def test_non_finite_target_rejected_with_state_unchanged(self):
+        pipe, _ = self.make()
+        for y in (10.0, 20.0):
+            pipe.transform({"is_workday": 1.0})
+            pipe.update_target(y)
+        before = pickle.dumps(pipe)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                pipe.update_target(bad)
+            with pytest.raises(ValueError, match="finite"):
+                pipe.remember_target(bad)
+        assert pickle.dumps(pipe) == before
+        assert pipe.target_stats.mean == 15.0
+
+    def test_pickled_size_constant(self):
+        """Constant memory per vehicle: a pipeline's pickled size is the
+        same after 10^3 and after 10^4 rows."""
+        rng = np.random.default_rng(5)
+        pipe = FeaturePipeline(default_schema())
+        keys = [s.source for s in pipe.schema.specs
+                if s.kind != "onehot" and not s.source.startswith("target")]
+        sizes = []
+        for n in range(1, 10_001):
+            raw = dict(zip(keys, rng.uniform(0.0, 30.0, len(keys))))
+            raw["prev_start_part_of_day"] = "noon"
+            pipe.transform(raw)
+            pipe.update_target(float(n % 13))
+            if n in (1_000, 10_000):
+                sizes.append(len(pickle.dumps(pipe)))
+        assert sizes[0] == sizes[1]
+
+
+# -- the numpy writing of encode and the standardizer, kept as the oracle
+
+
+def reference_encode(schema, raw):
+    x = np.zeros(schema.dim)
+    at = 0
+    for s in schema.specs:
+        sl = slice(at, at + s.width)
+        at += s.width
+        v = raw.get(s.source)
+        if s.kind == "onehot":
+            if v is None:
+                continue
+            if v not in s.categories:
+                raise DataError(
+                    f"unknown category {v!r} for descriptor {s.name}")
+            x[sl.start + s.categories.index(v)] = 1.0
+            continue
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            x[sl] = np.nan
+            continue
+        v = float(v)
+        if s.kind == "numeric":
+            x[sl.start] = v
+        else:
+            phase = 2.0 * math.pi * (v - s.offset) / s.period
+            x[sl.start] = math.sin(phase)
+            x[sl.start + 1] = math.cos(phase)
+    return x
+
+
+class ReferenceStandardizer:
+    def __init__(self, dim, passthrough):
+        self.dim = dim
+        self.passthrough = np.asarray(passthrough)
+        self.count = np.zeros(dim)
+        self.mean = np.zeros(dim)
+        self._m2 = np.zeros(dim)
+
+    def std(self):
+        out = np.zeros(self.dim)
+        ok = self.count >= 2
+        out[ok] = np.sqrt(np.maximum(self._m2[ok] / (self.count[ok] - 1),
+                                     0.0))
+        return out
+
+    def transform_update(self, x):
+        std = self.std()
+        ready = (self.count >= 2) & (std > 1e-9) & np.isfinite(x)
+        z = np.zeros(self.dim)
+        z[ready] = np.clip((x[ready] - self.mean[ready]) / std[ready],
+                           -8.0, 8.0)
+        z[self.passthrough] = np.where(np.isfinite(x[self.passthrough]),
+                                       x[self.passthrough], 0.0)
+        finite = np.isfinite(x) & ~self.passthrough
+        self.count[finite] += 1
+        delta = x[finite] - self.mean[finite]
+        self.mean[finite] += delta / self.count[finite]
+        self._m2[finite] += delta * (x[finite] - self.mean[finite])
+        return z
+
+
+class TestTransformOracle:
+    """``FeaturePipeline.transform`` and ``OnlineStandardizer`` give the
+    bytes of the vectorised numpy writing above, row for row."""
+
+    @staticmethod
+    def assert_pipeline_matches(schema, raws, targets):
+        pipe = FeaturePipeline(schema)
+        ref = ReferenceStandardizer(schema.dim, schema.passthrough_mask())
+        for raw, y in zip(raws, targets):
+            want = ref.transform_update(
+                reference_encode(schema, pipe.with_target_averages(raw)))
+            assert pipe.transform(raw).tobytes() == want.tobytes()
+            if y is not None:
+                pipe.update_target(y)
+        assert pipe._std.count.tobytes() == ref.count.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_fleet_row(self, seed):
+        fleet, _ = generate_fleet(n_regular=3, n_irregular=1, n_days=200,
+                                  seed=seed)
+        kept, _ = preprocess_fleet(fleet)
+        full = default_schema()
+        sub = full.subset(["day_of_week_cyc", "prev_start_hour",
+                           "prev_start_part_of_day", "prev_end_hours_cyc",
+                           "prev_distance_km", "target_hist_avg",
+                           "target_run_avg"])
+        for vid in sorted(kept):
+            examples = build_daily_examples(kept[vid])
+            raws = [ex.features for ex in examples]
+            for schema in (full, sub):
+                self.assert_pipeline_matches(
+                    schema, raws, [ex.target_departure for ex in examples])
+                self.assert_pipeline_matches(
+                    schema, raws, [ex.target_distance for ex in examples])
+
+    def test_edge_rows(self):
+        schema = FeatureSchema([
+            FeatureSpec("a", "numeric", "a"),
+            FeatureSpec("b_cyc", "cyclic", "b", period=24.0),
+            FeatureSpec("pod", "onehot", "pod",
+                        categories=("morning", "noon", "evening")),
+            FeatureSpec("once", "numeric", "once"),
+            FeatureSpec("flat", "numeric", "flat"),
+            FeatureSpec("target_hist_avg", "numeric", "target_hist_avg"),
+        ])
+        nan = float("nan")
+        raws = [
+            {},
+            {"a": None, "b": None, "pod": None, "flat": 4.0},
+            {"a": nan, "b": nan, "flat": 4.0},
+            {"a": 1.0, "b": 23.0, "pod": "noon", "flat": 4.0},
+            {"a": 1.0, "b": 1.0, "once": 7.0, "flat": 4.0},
+            {"a": 1.5, "b": np.float64(nan), "pod": "morning", "flat": 4.0},
+            # z far beyond +8, then far below -8
+            {"a": 1e6, "b": 12.0, "pod": "evening", "flat": 4.0},
+            {"a": -1e9, "b": 6.0, "flat": 4.0},
+            {"a": 2, "b": 0, "pod": "noon", "flat": 4.0},
+            {"a": np.float32(nan), "b": -3.5, "flat": 4.0},
+        ]
+        self.assert_pipeline_matches(schema, raws,
+                                     [1.0, None, 3.0, 2.0, None, 8.0, 5.0,
+                                      1.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("bad", ["dawn", 3.0, float("nan"), ["noon"]])
+    def test_unknown_category_same_error(self, bad):
+        schema = FeatureSchema([
+            FeatureSpec("a", "numeric", "a"),
+            FeatureSpec("pod", "onehot", "pod",
+                        categories=("morning", "noon"))])
+        with pytest.raises(DataError) as want:
+            reference_encode(schema, {"a": 1.0, "pod": bad})
+        with pytest.raises(DataError) as got:
+            schema.encode({"a": 1.0, "pod": bad})
+        assert str(got.value) == str(want.value)
+        with pytest.raises(DataError) as got:
+            FeaturePipeline(schema).transform({"a": 1.0, "pod": bad})
+        assert str(got.value) == str(want.value)
+
+    def test_standardizer_on_extreme_values(self):
+        """Non-finite passthrough and scaled values, overflowing
+        statistics, constant and sparse columns, against the oracle."""
+        rng = np.random.default_rng(11)
+        passthrough = np.array([False] * 6 + [True] * 2)
+        std = OnlineStandardizer(8, passthrough)
+        ref = ReferenceStandardizer(8, passthrough)
+        # a finite mean under an infinite std, then a value whose distance
+        # from the mean overflows: z is inf / inf, NaN, and stays NaN
+        for v in (-1.5e308, -1.5e308 + 1e300, 1e308):
+            x = np.full(8, np.nan)
+            x[:3] = v
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = ref.transform_update(x)
+            assert std.transform_update(x).tobytes() == want.tobytes()
+        assert np.isnan(want[0])
+        specials = [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0]
+        for i in range(400):
+            x = rng.normal(size=8) * 10.0 ** rng.integers(-3, 4, 8)
+            x[3] = 4.0  # constant column
+            x[4] = 2.5 if i == 50 else np.nan  # one finite value only
+            hit = rng.random(8) < 0.1
+            x[hit] = rng.choice(specials, hit.sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = ref.transform_update(x)
+            assert std.transform_update(x).tobytes() == want.tobytes()
+        assert std.count.tobytes() == ref.count.tobytes()

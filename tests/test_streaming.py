@@ -537,6 +537,36 @@ class TestAdwinWindow:
         assert fed.n_drifts == clean.n_drifts > 0
         assert fed.mean == clean.mean
 
+    @pytest.mark.filterwarnings("error")
+    def test_value_above_bound_rejected_and_later_shift_cut(self):
+        """Four values of 1e154 each have a finite square, but their sum of
+        squares does not: the window refuses them, stays empty, and then
+        cuts a 1 -> 5 shift as a fresh window does, with no overflow
+        warning from the cut scan."""
+        shift = [1.0] * 200 + [5.0] * 200
+        fresh, fed = AdwinWindow(0.002), AdwinWindow(0.002)
+        for _ in range(4):
+            with pytest.raises(ValueError, match="exceeds 1e\\+100"):
+                fed.update(1e154)
+            with pytest.raises(ValueError, match="exceeds 1e\\+100"):
+                update_many([fed], [-1e154])
+        assert fed.width == 0
+        assert [fresh.update(v) for v in shift] == [fed.update(v)
+                                                     for v in shift]
+        assert fed.n_drifts == fresh.n_drifts == 8
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_at_bound_keep_totals_finite(self):
+        """Values of magnitude ``WINDOW_VALUE_BOUND`` are taken, and their
+        totals stay finite through every cut scan."""
+        bound = streaming.WINDOW_VALUE_BOUND
+        w = AdwinWindow(0.002)
+        for v in [bound, -bound] * 100 + [bound] * 100:
+            w.update(v)
+        assert all(math.isfinite(s) for s in w.to_dict()["sumsqs"])
+        assert math.isfinite(w.mean)
+        assert w.n_drifts > 0
+
     def test_delta_validated(self):
         with pytest.raises(ValueError):
             AdwinWindow(delta=0.0)
