@@ -121,6 +121,10 @@ class FeatureSchema:
             at += s.width
         self.dim = at
 
+    def __reduce__(self):
+        # the slices and the plan derive from the specs: pickle only those
+        return (type(self), (self.specs,))
+
     @property
     def names(self) -> list[str]:
         return [s.name for s in self.specs]
@@ -155,6 +159,11 @@ class FeatureSchema:
         return FeatureSchema([s for s in self.specs if s.name in keep])
 
     def encode(self, raw: dict) -> np.ndarray:
+        return np.array(self.encode_row(raw))
+
+    def encode_row(self, raw: dict) -> list[float]:
+        """``encode`` as a list of Python floats, the row the
+        standardizer reads."""
         x = [0.0] * self.dim
         for kind, name, source, at, period, offset, index in self._plan:
             v = raw.get(source)
@@ -180,7 +189,7 @@ class FeatureSchema:
                 phase = 2.0 * math.pi * (v - offset) / period
                 x[at] = math.sin(phase)
                 x[at + 1] = math.cos(phase)
-        return np.array(x)
+        return x
 
 
 def default_schema() -> FeatureSchema:
@@ -294,12 +303,21 @@ class OnlineStandardizer:
         """Finite values each column's statistics hold (0 if passthrough)."""
         return np.array([0.0 if s is None else s.count for s in self._stats])
 
-    def transform_update(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
+    def transform_update(self, x) -> np.ndarray:
+        """Standardize one row, then fold it into the statistics.  ``x`` is
+        a vector of ``dim`` values, or a list of ``dim`` Python floats such
+        as ``FeatureSchema.encode_row`` builds, which is read as it is."""
+        if type(x) is list:
+            if len(x) != self.dim:
+                raise ValueError(
+                    f"expected vector of length {self.dim}, got {len(x)}")
+        else:
+            x = np.asarray(x, dtype=float)
+            if x.shape != (self.dim,):
+                raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
+            x = x.tolist()
         z = [0.0] * self.dim
-        for j, (v, stats) in enumerate(zip(x.tolist(), self._stats)):
+        for j, (v, stats) in enumerate(zip(x, self._stats)):
             if not math.isfinite(v):
                 continue
             if stats is None:
@@ -353,7 +371,7 @@ class FeaturePipeline:
 
     def transform(self, raw: dict) -> np.ndarray:
         return self._std.transform_update(
-            self.schema.encode(self.with_target_averages(raw)))
+            self.schema.encode_row(self.with_target_averages(raw)))
 
     def update_target(self, y: float) -> None:
         self.remember_target(y)

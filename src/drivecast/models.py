@@ -191,19 +191,21 @@ class QuantileRegressor(OnlineModel):
         self._scaler = _TargetScaler()
 
     def _augment(self, x: np.ndarray) -> np.ndarray:
-        return np.append(x, 1.0)
-
-    def _heads(self, x: np.ndarray) -> np.ndarray:
-        return self.thetas @ self._augment(x)
+        """``x`` with the intercept's 1.0 appended, built per call so that
+        the model holds no scratch state."""
+        xa = np.empty(self.n_features + 1)
+        xa[:-1] = x
+        xa[-1] = 1.0
+        return xa
 
     def predict_interval(self, x) -> PredictionInterval:
         x = check_features(x, self.n_features)
         if self.n_seen < 2:
             raise InsufficientHistoryError("heads are still at their origin")
-        lo_z, mid_z, hi_z = self._heads(x)
-        point = self._scaler.inverse(float(mid_z))
-        lower = min(self._scaler.inverse(float(lo_z)), point)
-        upper = max(self._scaler.inverse(float(hi_z)), point)
+        lo_z, mid_z, hi_z = (self.thetas @ self._augment(x)).tolist()
+        point = self._scaler.inverse(mid_z)
+        lower = min(self._scaler.inverse(lo_z), point)
+        upper = max(self._scaler.inverse(hi_z), point)
         return PredictionInterval(point, lower, upper, None)
 
     def learn_one(self, x, y: float) -> None:
@@ -211,12 +213,14 @@ class QuantileRegressor(OnlineModel):
         x = check_features(x, self.n_features)
         y_z = self._scaler.transform(y)
         xa = self._augment(x)
-        preds = self.thetas @ xa
+        preds = (self.thetas @ xa).tolist()
         step = self.lr / (1.0 + LR_DECAY * self.n_seen)
+        # each head's pinball subgradient is its own multiple of xa
+        slopes = np.array([[-tau if y_z >= p else 1.0 - tau]
+                           for tau, p in zip(self.taus, preds)])
         with np.errstate(over="ignore", invalid="ignore"):
-            for h, tau in enumerate(self.taus):
-                grad = -tau * xa if y_z >= preds[h] else (1.0 - tau) * xa
-                self.thetas[h] -= step * (grad + 2.0 * self.l2 * self.thetas[h])
+            self.thetas -= step * (slopes * xa
+                                   + 2.0 * self.l2 * self.thetas)
         if not np.isfinite(self.thetas).all():
             raise DivergenceError("quantile heads left the finite range")
         self._scaler.update(y)
@@ -265,7 +269,9 @@ class QuantileKnn(OnlineModel):
         order = np.lexsort((self._stamps[:n], dists))
         kk = min(self.k, n)
         neigh = np.sort(self._ys[:n][order[:kk]])
-        point = float(neigh.mean())
+        # np.add.reduce is the pairwise sum mean() and std() take, so the
+        # point and sigma are theirs to the bit
+        point = float(np.add.reduce(neigh)) / kk
         alpha = (1.0 - self.confidence) / 2.0
         # plotting-position ranks: the span between the chosen order
         # statistics covers about (hi-lo)/(kk+1) of the neighborhood
@@ -274,7 +280,10 @@ class QuantileKnn(OnlineModel):
         hi_rank = min(max(math.ceil((1.0 - alpha) * (kk + 1)), 1), kk) - 1
         lower = min(float(neigh[lo_rank]), point)
         upper = max(float(neigh[hi_rank]), point)
-        sigma = float(neigh.std(ddof=1)) if kk >= 2 else None
+        sigma = None
+        if kk >= 2:
+            d = neigh - point
+            sigma = math.sqrt(float(np.add.reduce(d * d)) / (kk - 1))
         return PredictionInterval(point, lower, upper, sigma)
 
     def learn_one(self, x, y: float) -> None:
@@ -371,14 +380,19 @@ class McDropoutNet(OnlineModel):
 
     # -- forward/backward ------------------------------------------------
 
-    def _forward(self, x: np.ndarray, masks: list[np.ndarray] | None):
-        """Returns (output, activations); masks are per hidden layer."""
+    def _forward(self, x: np.ndarray, masks: list[np.ndarray] | None,
+                 first: np.ndarray | None = None):
+        """Returns (output, activations); masks are per hidden layer.
+        ``first``, the first hidden layer's ReLU output for ``x`` before
+        any mask, is computed unless given."""
         acts = [x]
         a = x
         for i, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = np.maximum(w @ a + b, 0.0)
+            a = (first if i == 0 and first is not None
+                 else np.maximum(w @ a + b, 0.0))
             if masks is not None:
-                a = a * masks[i] / (1.0 - self.dropout)
+                a = a * masks[i]
+                a /= 1.0 - self.dropout
             acts.append(a)
         out = float((self.weights[-1] @ a + self.biases[-1])[0])
         return out, acts
@@ -387,14 +401,15 @@ class McDropoutNet(OnlineModel):
         """All stochastic passes at once; rows are passes."""
         a = np.broadcast_to(x, (self.n_passes, len(x)))
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ w.T + b, 0.0)
-            mask = rng.random(a.shape) >= self.dropout
-            a = a * mask / (1.0 - self.dropout)
+            a = a @ w.T
+            a += b
+            np.maximum(a, 0.0, out=a)
+            a *= rng.random(a.shape) >= self.dropout
+            a /= 1.0 - self.dropout
         return (a @ self.weights[-1].T + self.biases[-1]).ravel()
 
     def _sample_masks(self, rng: np.random.Generator) -> list[np.ndarray]:
-        return [(rng.random(h) >= self.dropout).astype(float)
-                for h in self.hidden]
+        return [rng.random(h) >= self.dropout for h in self.hidden]
 
     def predict_interval(self, x) -> PredictionInterval:
         x = check_features(x, self.n_features)
@@ -406,7 +421,9 @@ class McDropoutNet(OnlineModel):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 0xACC, self.n_seen])))
         samples = self._forward_batch(x, rng)
-        var_model = float(np.mean((samples - samples.mean()) ** 2))
+        # np.add.reduce is the pairwise sum np.mean takes
+        d = samples - float(np.add.reduce(samples)) / self.n_passes
+        var_model = float(np.add.reduce(d * d)) / self.n_passes
         var_noise = (sum(self._sq_residuals) / len(self._sq_residuals)
                      if self._sq_residuals else 0.0)
         sigma = self._scaler.inverse_spread(math.sqrt(var_model + var_noise))
@@ -417,18 +434,21 @@ class McDropoutNet(OnlineModel):
         x = check_features(x, self.n_features)
         # clamp the standardized target: the running scaler can be wildly
         # off for the first few observations, and a single huge squared
-        # error must not blow up the weights or the residual window
-        y_z = float(np.clip(self._scaler.transform(y), -10.0, 10.0))
+        # error must not blow up the weights or the residual window; a
+        # NaN passes through as np.clip passes it
+        y_z = min(max(self._scaler.transform(y), -10.0), 10.0)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            out_pre, _ = self._forward(x, masks=None)
-            self._sq_residuals.append(float(np.square(np.float64(y_z - out_pre))))
+            out_pre, acts_pre = self._forward(x, masks=None)
+        residual = y_z - out_pre
+        self._sq_residuals.append(residual * residual)
         if len(self._sq_residuals) > self.residual_window:
             self._sq_residuals.pop(0)
 
         masks = self._sample_masks(self._train_rng)
         with np.errstate(over="ignore", invalid="ignore"):
-            out, acts = self._forward(x, masks)
+            # the first layer's product is the one the pass above made
+            out, acts = self._forward(x, masks, first=acts_pre[1])
             grad_out = out - y_z  # d/d_out of 0.5 (out - y)^2
 
             keep = 1.0 - self.dropout
@@ -436,17 +456,18 @@ class McDropoutNet(OnlineModel):
             grads_w: list[np.ndarray] = []
             grads_b: list[np.ndarray] = []
             for i in range(len(self.weights) - 1, -1, -1):
-                a_prev = acts[i]
-                grads_w.append(np.outer(delta, a_prev))
+                grads_w.append(delta[:, None] * acts[i])
                 grads_b.append(delta)
                 if i > 0:
                     # post-dropout activation is positive only where the
                     # unit both fired and survived the mask, so one
                     # indicator covers the relu and dropout derivatives
-                    delta = (self.weights[i].T @ delta) * (acts[i] > 0.0) / keep
+                    delta = self.weights[i].T @ delta
+                    delta *= acts[i] > 0.0
+                    delta /= keep
             grads_w.reverse()
             grads_b.reverse()
-            norm = math.sqrt(sum(float((g ** 2).sum())
+            norm = math.sqrt(sum(float(np.add.reduce(g * g, axis=None))
                                  for g in grads_w + grads_b))
             scale = 1.0
             if math.isfinite(norm) and norm > self.max_grad_norm:

@@ -190,8 +190,22 @@ class TestOnlineStandardizer:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             OnlineStandardizer(3).transform_update(np.zeros(2))
+        with pytest.raises(ValueError, match="length 3"):
+            OnlineStandardizer(3).transform_update([0.0, 1.0])
         with pytest.raises(ValueError, match="passthrough"):
             OnlineStandardizer(3, passthrough=np.array([False, True]))
+
+    def test_list_row_same_as_array(self):
+        rng = np.random.default_rng(3)
+        passthrough = np.array([False, False, True])
+        a = OnlineStandardizer(3, passthrough)
+        b = OnlineStandardizer(3, passthrough)
+        for _ in range(50):
+            x = rng.normal(size=3)
+            x[rng.random(3) < 0.2] = np.nan
+            assert a.transform_update(x.tolist()).tobytes() == \
+                b.transform_update(x).tobytes()
+        assert pickle.dumps(a) == pickle.dumps(b)
 
     @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=60))
     @settings(max_examples=30, deadline=None)
@@ -290,6 +304,31 @@ class TestFeaturePipeline:
             if n in (1_000, 10_000):
                 sizes.append(len(pickle.dumps(pipe)))
         assert sizes[0] == sizes[1]
+
+    def test_round_tripped_pipeline_transforms_same_bytes(self):
+        """A schema pickles as its specs and rebuilds its column slices
+        and encode plan when loaded; the restored pipeline goes on giving
+        the same rows as one that never stopped."""
+        fleet, _ = generate_fleet(n_regular=1, n_irregular=1, n_days=120,
+                                  seed=4)
+        kept, _ = preprocess_fleet(fleet)
+        for vid in sorted(kept):
+            examples = build_daily_examples(kept[vid])
+            pipe = FeaturePipeline(default_schema())
+            for ex in examples[:50]:
+                pipe.transform(ex.features)
+                pipe.update_target(ex.target_distance)
+            clone = pickle.loads(pickle.dumps(pipe))
+            assert clone.schema._plan == pipe.schema._plan
+            assert clone.schema._slices == pipe.schema._slices
+            for ex in examples[50:]:
+                assert clone.transform(ex.features).tobytes() == \
+                    pipe.transform(ex.features).tobytes()
+                clone.update_target(ex.target_distance)
+                pipe.update_target(ex.target_distance)
+        data = pickle.dumps(default_schema())
+        assert b"_plan" not in data and b"_slices" not in data
+        assert len(data) < len(pickle.dumps(default_schema().specs)) + 100
 
 
 # -- the numpy writing of encode and the standardizer, kept as the oracle

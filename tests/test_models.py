@@ -1,6 +1,7 @@
 """Model contracts: gradients, interval calibration, windows, checkpoints."""
 
 import copy
+import hashlib
 import math
 import pickle
 
@@ -10,6 +11,7 @@ import pytest
 from drivecast import _kernels
 from drivecast.exceptions import DivergenceError, InsufficientHistoryError
 from drivecast.models import (
+    LR_DECAY,
     MODEL_KINDS,
     McDropoutNet,
     MeanBaseline,
@@ -21,6 +23,12 @@ from drivecast.models import (
     make_model,
     z_for_confidence,
 )
+
+# sha256 over the pickled qr, qknn and mcnn of
+# TestGoldenPickledModels, at the default and the highest protocol
+GOLDEN_LIGHT_STATE_DIGEST = (
+    "02768dd67acc0eb04a22cbcb381aa85a"
+    "591f67a2aabf017e10bfcafa6b025b24")
 
 
 class TestZ:
@@ -497,3 +505,227 @@ class TestIntervalCalibrationQuick:
             model.learn_one(x, y)
         assert total > 300
         assert 0.75 <= hits / total <= 1.0
+
+
+# -- the light kinds' plainer numpy writing, kept as oracles ---------------
+#
+# Each reference step below is the model's own step as first written:
+# np.append for the intercept, one update per quantile head, mean() and
+# std(ddof=1) over the neighbours, np.mean for the sample variance, one
+# forward pass per call and np.clip/np.square/np.outer in the net's update.
+# The shipped steps must give the same bytes.
+
+
+def reference_qr_predict(m, x):
+    lo_z, mid_z, hi_z = m.thetas @ np.append(x, 1.0)
+    point = m._scaler.inverse(float(mid_z))
+    lower = min(m._scaler.inverse(float(lo_z)), point)
+    upper = max(m._scaler.inverse(float(hi_z)), point)
+    return PredictionInterval(point, lower, upper, None)
+
+
+def reference_qr_learn(m, x, y):
+    y_z = m._scaler.transform(y)
+    xa = np.append(x, 1.0)
+    preds = m.thetas @ xa
+    step = m.lr / (1.0 + LR_DECAY * m.n_seen)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, tau in enumerate(m.taus):
+            grad = -tau * xa if y_z >= preds[h] else (1.0 - tau) * xa
+            m.thetas[h] -= step * (grad + 2.0 * m.l2 * m.thetas[h])
+    m._scaler.update(y)
+    m.n_seen += 1
+
+
+def reference_qknn_predict(m, x):
+    n = m.size
+    dists = _kernels.sq_distances(m._xs[:n], x)
+    order = np.lexsort((m._stamps[:n], dists))
+    kk = min(m.k, n)
+    neigh = np.sort(m._ys[:n][order[:kk]])
+    point = float(neigh.mean())
+    alpha = (1.0 - m.confidence) / 2.0
+    lo_rank = min(max(math.floor(alpha * (kk + 1)), 1), kk) - 1
+    hi_rank = min(max(math.ceil((1.0 - alpha) * (kk + 1)), 1), kk) - 1
+    lower = min(float(neigh[lo_rank]), point)
+    upper = max(float(neigh[hi_rank]), point)
+    sigma = float(neigh.std(ddof=1)) if kk >= 2 else None
+    return PredictionInterval(point, lower, upper, sigma)
+
+
+def reference_mcnn_forward(m, x, masks):
+    acts = [x]
+    a = x
+    for i, (w, b) in enumerate(zip(m.weights[:-1], m.biases[:-1])):
+        a = np.maximum(w @ a + b, 0.0)
+        if masks is not None:
+            a = a * masks[i] / (1.0 - m.dropout)
+        acts.append(a)
+    return float((m.weights[-1] @ a + m.biases[-1])[0]), acts
+
+
+def reference_mcnn_predict(m, x):
+    out, _ = reference_mcnn_forward(m, x, None)
+    point = m._scaler.inverse(out)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([m.seed, 0xACC, m.n_seen])))
+    a = np.broadcast_to(x, (m.n_passes, len(x)))
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        a = np.maximum(a @ w.T + b, 0.0)
+        mask = rng.random(a.shape) >= m.dropout
+        a = a * mask / (1.0 - m.dropout)
+    samples = (a @ m.weights[-1].T + m.biases[-1]).ravel()
+    var_model = float(np.mean((samples - samples.mean()) ** 2))
+    var_noise = (sum(m._sq_residuals) / len(m._sq_residuals)
+                 if m._sq_residuals else 0.0)
+    sigma = m._scaler.inverse_spread(math.sqrt(var_model + var_noise))
+    return PredictionInterval.gaussian(point, sigma, m.z)
+
+
+def reference_mcnn_learn(m, x, y):
+    """Returns whether the gradient was clipped."""
+    y_z = float(np.clip(m._scaler.transform(y), -10.0, 10.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_pre, _ = reference_mcnn_forward(m, x, None)
+        m._sq_residuals.append(float(np.square(np.float64(y_z - out_pre))))
+    if len(m._sq_residuals) > m.residual_window:
+        m._sq_residuals.pop(0)
+    masks = [(m._train_rng.random(h) >= m.dropout).astype(float)
+             for h in m.hidden]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, acts = reference_mcnn_forward(m, x, masks)
+        keep = 1.0 - m.dropout
+        delta = np.array([out - y_z])
+        grads_w, grads_b = [], []
+        for i in range(len(m.weights) - 1, -1, -1):
+            grads_w.append(np.outer(delta, acts[i]))
+            grads_b.append(delta)
+            if i > 0:
+                delta = (m.weights[i].T @ delta) * (acts[i] > 0.0) / keep
+        grads_w.reverse()
+        grads_b.reverse()
+        norm = math.sqrt(sum(float((g ** 2).sum())
+                             for g in grads_w + grads_b))
+        scale = 1.0
+        if math.isfinite(norm) and norm > m.max_grad_norm:
+            scale = m.max_grad_norm / norm
+        for i in range(len(m.weights)):
+            m.weights[i] -= m.lr * scale * grads_w[i]
+            m.biases[i] -= m.lr * scale * grads_b[i]
+    m._scaler.update(y)
+    m.n_seen += 1
+    return scale < 1.0
+
+
+def interval_bits(pi):
+    return repr((pi.point, pi.lower, pi.upper, pi.sigma))
+
+
+def oracle_stream(seed, n, d, pool=None):
+    """(x, y) pairs with heavy-tailed targets, so a net's clamp of the
+    standardized target fires; rows come from ``pool`` when given, which
+    makes exact duplicates and so distance ties."""
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=d)
+    for t in range(n):
+        x = (pool[rng.integers(len(pool))] if pool is not None
+             else rng.normal(size=d) * rng.choice([0.1, 1.0, 5.0]))
+        y = float(x @ coef + rng.standard_t(2))
+        if pool is not None:
+            y = round(y, 1)  # repeated target values tie in the sort
+        yield x, y
+
+
+class TestLightKindOracle:
+    """``qr``, ``qknn`` and ``mcnn`` give the reference steps' bytes over
+    long streams with settings the golden records do not reach."""
+
+    @staticmethod
+    def run(model, stream, reference_predict, reference_learn,
+            pickle_every=1):
+        ref = copy.deepcopy(model)
+        results = []
+        for t, (x, y) in enumerate(stream):
+            try:
+                got = interval_bits(model.predict_interval(x))
+            except InsufficientHistoryError:
+                got = None
+            if got is not None:
+                assert got == interval_bits(reference_predict(ref, x)), t
+            model.learn_one(x, y)
+            results.append(reference_learn(ref, x, y))
+            if t % pickle_every == 0:
+                assert pickle.dumps(model) == pickle.dumps(ref), t
+        assert pickle.dumps(model) == pickle.dumps(ref)
+        return results
+
+    @pytest.mark.parametrize("hyper", [{}, {"lr": 0.1}])
+    @pytest.mark.parametrize("d", [6, 35])
+    def test_qr(self, hyper, d):
+        model = QuantileRegressor(d, **hyper)
+        self.run(model, oracle_stream(21, 2000, d), reference_qr_predict,
+                 reference_qr_learn)
+
+    @pytest.mark.parametrize("hyper, sigma_none", [
+        ({"k": 1, "min_neighbors": 1}, True),  # one neighbour, no sigma
+        ({"k": 40, "window": 15, "min_neighbors": 2}, False),  # k > window
+        ({"k": 10, "window": 120}, False),
+    ])
+    def test_qknn(self, hyper, sigma_none):
+        pool = np.random.default_rng(22).normal(size=(7, 4)).round(1)
+        model = QuantileKnn(4, **hyper)
+        sigmas = []
+
+        def predict(m, x):
+            pi = reference_qknn_predict(m, x)
+            sigmas.append(pi.sigma)
+            return pi
+
+        self.run(model, oracle_stream(23, 1500, 4, pool), predict,
+                 lambda m, x, y: m.learn_one(x, y), pickle_every=25)
+        assert len(sigmas) > 1000
+        assert all((s is None) == sigma_none for s in sigmas)
+
+    @pytest.mark.parametrize("hyper", [
+        {},
+        {"hidden": (16, 8), "dropout": 0.3, "n_passes": 7,
+         "residual_window": 3, "max_grad_norm": 0.5},
+        {"hidden": (5,), "dropout": 0.0, "n_passes": 2},
+    ])
+    def test_mcnn(self, hyper):
+        model = McDropoutNet(5, seed=9, **hyper)
+        clipped = self.run(model, oracle_stream(24, 1500, 5),
+                           reference_mcnn_predict, reference_mcnn_learn)
+        if "max_grad_norm" in hyper:
+            assert 0 < sum(clipped) < len(clipped)
+
+    def test_mcnn_target_clamp_fires(self):
+        """np.clip's clamp of the standardized target, at both ends."""
+        model = McDropoutNet(2, seed=1, hidden=(3,), lr=1e-3)
+        stream = [(np.array([0.5, -1.0]), v)
+                  for v in (0.0, 1.0, 1e6, -1e6, 2.0, 1e150, -1e150, 3.0)]
+        scaler = copy.deepcopy(model._scaler)
+        clamped = 0
+        for _, y in stream:
+            clamped += abs(scaler.transform(y)) > 10.0
+            scaler.update(y)
+        assert clamped >= 2
+        self.run(model, stream, reference_mcnn_predict, reference_mcnn_learn)
+
+
+class TestGoldenPickledModels:
+    def test_golden_pickled_light_models(self):
+        """The pickled bytes of ``qr``, ``qknn`` and ``mcnn`` after a fixed
+        stream pin their weights, windows and residuals and the layout of
+        their state: a step that changes a bit of it, or a scratch buffer
+        kept on the model, fails here."""
+        digest = hashlib.sha256()
+        for kind in ("qr", "qknn", "mcnn"):
+            model = make_model(kind, 4, seed=5)
+            for x, y in oracle_stream(25, 400, 4):
+                if model.n_seen >= 5:
+                    model.predict_interval(x)
+                model.learn_one(x, y)
+            for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+                digest.update(pickle.dumps(model, protocol))
+        assert digest.hexdigest() == GOLDEN_LIGHT_STATE_DIGEST
