@@ -105,6 +105,14 @@ def _check_finite(node, field: str) -> None:
             _check_finite(value, f"{field}[{i}]")
 
 
+def _no_repeats(field: str, values: list) -> None:
+    """ConfigError naming the first entry of ``values`` that repeats an
+    earlier one: it would be evaluated, or its setting tried, twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(field, f"lists {value!r} twice")
+
+
 def validate_config(cfg: dict) -> dict:
     """Type- and range-check every option; returns the config unchanged.
 
@@ -163,12 +171,14 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(field, "expected a non-empty list of values")
             for value in values:
                 check_model_param(field, kind, param, value)
+            _no_repeats(field, values)
 
     models = _need(cfg, "evaluate.models", list)
     for m in models:
         if m not in MODEL_KINDS:
             raise ConfigError("evaluate.models",
                               f"unknown model {m!r}; know {list(MODEL_KINDS)}")
+    _no_repeats("evaluate.models", models)
     if not models:
         raise ConfigError("evaluate.models", "need at least one model")
     targets = _need(cfg, "evaluate.targets", list)
@@ -176,6 +186,7 @@ def validate_config(cfg: dict) -> dict:
         if t not in TARGETS:
             raise ConfigError("evaluate.targets",
                               f"unknown target {t!r}; know {list(TARGETS)}")
+    _no_repeats("evaluate.targets", targets)
     if not targets:
         raise ConfigError("evaluate.targets", "need at least one target")
     _need(cfg, "evaluate.warmup", int, low=0)
@@ -184,8 +195,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("evaluate.confidence", "must lie in (0, 1)")
     tol = _need(cfg, "evaluate.within_tol", dict)
     for t in targets:
-        if t not in tol or not isinstance(tol[t], (int, float)) \
-                or tol[t] <= 0:
+        if t not in tol or isinstance(tol[t], bool) \
+                or not isinstance(tol[t], (int, float)) or tol[t] <= 0:
             raise ConfigError(f"evaluate.within_tol.{t}",
                               "need a positive tolerance per target")
     return cfg

@@ -252,6 +252,15 @@ def check_count(name: str, value) -> int:
     return int(value)
 
 
+def check_float(name: str, value) -> float:
+    """``value`` as a float for a real-valued hyperparameter.  A bool is
+    rejected, not read as 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class RunningStats:
     """Welford running mean and sample standard deviation of a scalar."""
 

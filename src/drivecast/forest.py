@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
-from .features import check_count, check_features, check_target
+from .features import check_count, check_features, check_float, check_target
 from .streaming import AdwinWindow, KllSketch, update_many
 
 # A leaf splits when its best candidate beats the runner-up with
@@ -303,8 +303,8 @@ class AdaptiveForest:
             raise ValueError("need at least one tree")
         self.n_features = n_features
         self.n_trees = n_trees
-        self.warn_delta = warn_delta
-        self.drift_delta = drift_delta
+        self.warn_delta = check_float("warn_delta", warn_delta)
+        self.drift_delta = check_float("drift_delta", drift_delta)
         self.disable_drift = disable_drift
 
         ss = np.random.SeedSequence(seed)

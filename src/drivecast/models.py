@@ -16,7 +16,8 @@ constant-time and constant-memory per observation.
   read from the empirical quantiles of the neighbor targets.
 * ``qarf``: drift-adaptive forest of incremental trees; the interval is
   read from the pooled items of the quantile sketches of every tree's
-  routed leaf.
+  routed leaf, and ``sigma`` is None, as for ``qr``: no Gaussian is
+  fitted to an interval made of order statistics.
 * ``mcnn``: small feed-forward net whose predictive spread combines
   dropout-sampling variance (model uncertainty) with a running residual
   variance (noise), assuming a Gaussian predictive distribution.
@@ -38,7 +39,7 @@ import numpy as np
 from . import _kernels
 from .exceptions import DivergenceError, InsufficientHistoryError
 from .features import (RunningStats, check_count, check_features,
-                       check_target)
+                       check_float, check_target)
 from .forest import AdaptiveForest
 from .streaming import describe
 
@@ -176,10 +177,10 @@ class QuantileRegressor(OnlineModel):
             # step size that keeps the heads stable regardless of how
             # many standardized columns feed them
             lr = 0.1 / math.sqrt(n_features + 1)
-        if lr <= 0:
+        self.lr = check_float("lr", lr)
+        if self.lr <= 0:
             raise ValueError("lr must be positive")
-        self.lr = float(lr)
-        self.l2 = float(l2)
+        self.l2 = check_float("l2", l2)
         alpha = (1.0 - self.confidence) / 2.0
         self.taus = (alpha, 0.5, 1.0 - alpha)
         self.thetas = np.zeros((3, n_features + 1))
@@ -314,8 +315,8 @@ class QuantileForest(OnlineModel):
     def predict_interval(self, x) -> PredictionInterval:
         point, sketches = self.forest.predict_sketches(x)
         alpha = (1.0 - self.confidence) / 2.0
-        (lo, hi), _, sigma = describe(sketches, (alpha, 1.0 - alpha))
-        return PredictionInterval(point, min(lo, point), max(hi, point), sigma)
+        lo, hi = describe(sketches, (alpha, 1.0 - alpha))
+        return PredictionInterval(point, min(lo, point), max(hi, point))
 
     def learn_one(self, x, y: float) -> None:
         self.forest.learn_one(x, y)
@@ -347,6 +348,9 @@ class McDropoutNet(OnlineModel):
         hidden = tuple(check_count("hidden", h) for h in hidden)
         n_passes = check_count("n_passes", n_passes)
         residual_window = check_count("residual_window", residual_window)
+        dropout = check_float("dropout", dropout)
+        lr = check_float("lr", lr)
+        max_grad_norm = check_float("max_grad_norm", max_grad_norm)
         if not hidden or any(h < 1 for h in hidden):
             raise ValueError("hidden must name at least one positive width")
         if not 0.0 <= dropout < 1.0:
@@ -358,11 +362,11 @@ class McDropoutNet(OnlineModel):
         if max_grad_norm <= 0:
             raise ValueError("max_grad_norm must be positive")
         self.hidden = hidden
-        self.dropout = float(dropout)
-        self.lr = float(lr)
+        self.dropout = dropout
+        self.lr = lr
         self.n_passes = n_passes
         self.residual_window = residual_window
-        self.max_grad_norm = float(max_grad_norm)
+        self.max_grad_norm = max_grad_norm
 
         self._train_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 0x7E57])))

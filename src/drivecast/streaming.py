@@ -9,11 +9,12 @@ adaptive window maintains an exponential histogram over a value stream
 and shrinks itself whenever two adjacent sub-windows have statistically
 distinct means, which doubles as a drift signal.
 
-An interval query pools the sketches' items in one sort and reads every
-quantile from one search of their cumulative weights.  A window refuses a
-value that is not finite or exceeds ``WINDOW_VALUE_BOUND`` in magnitude,
-and a sketch a seed that is not an integer >= 0, before any bucket or item
-changes.
+An interval query pools the sketches' items in one unstable sort and
+reads every quantile from one search of their cumulative weights; with
+every weight a power of two, it answers as the stable order does.  A
+window checks each value once, and refuses one that is not finite or
+exceeds ``WINDOW_VALUE_BOUND`` in magnitude, and a sketch a seed that is
+not an integer >= 0, before any bucket or item changes.
 
 Both keep their floats in flat ``array("d")`` buffers: a sketch level is
 one, and a window's bucket counts, sums and sums of squares are three.
@@ -203,8 +204,8 @@ class KllSketch:
         return _moments_of(*_weighted_items((self,)))
 
 
-def _weighted_items(sketches) -> tuple[np.ndarray, np.ndarray]:
-    """Every retained item of the sketches, sorted, with its weight: an
+def _pooled_items(sketches) -> tuple[np.ndarray, np.ndarray]:
+    """Every retained item of the sketches, unsorted, with its weight: an
     item at level h of its sketch stands for 2^h inserted values."""
     levels, weights, lengths = [], [], []
     for sk in sketches:
@@ -212,8 +213,12 @@ def _weighted_items(sketches) -> tuple[np.ndarray, np.ndarray]:
             levels.append(lvl)
             weights.append(_POW2[h])
             lengths.append(len(lvl))
-    v = np.frombuffer(b"".join(levels))
-    w = np.repeat(weights, lengths)
+    return np.frombuffer(b"".join(levels)), np.repeat(weights, lengths)
+
+
+def _weighted_items(sketches) -> tuple[np.ndarray, np.ndarray]:
+    """``_pooled_items`` in stable sorted order."""
+    v, w = _pooled_items(sketches)
     order = np.argsort(v, kind="stable")
     return v[order], w[order]
 
@@ -235,22 +240,33 @@ def _moments_of(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(max(var, 0.0))
 
 
-def describe(sketches, qs) -> tuple[list[float], float, float]:
-    """Quantiles at ``qs`` and the Gaussian fit (mean, std) of the pooled
-    streams of ``sketches``, from one sort of their retained items.
+def describe(sketches, qs) -> list[float]:
+    """Quantiles at ``qs`` of the pooled streams of ``sketches``, from one
+    sort of their retained items.
 
     Each item keeps its own sketch's weight, so nothing is compacted: one
-    sketch answers exactly as its ``quantile`` and ``moments`` do, and the
-    rank error of the pool is at most the largest of its sketches'.  All
-    of ``qs`` are answered by one search of the items' cumulative
-    weights."""
+    sketch answers exactly as its ``quantile`` does, and the rank error of
+    the pool is at most the largest of its sketches'.  All of ``qs`` are
+    answered by one search of the items' cumulative weights.
+
+    The sort need not be stable.  Every weight is a power of two, so every
+    cumulative weight is an exact integer, and at the ends of a run of
+    equal items it does not depend on the run's order; a search that
+    lands in the run therefore lands in it in any order, on an item equal
+    to the stable order's.  Equal means the same bits for every value but
+    zero: 0.0 and -0.0 compare equal, so a zero answer is read again from
+    the stable order, whose sign ``quantile`` gives."""
     if not all(0.0 <= q <= 1.0 for q in qs):
         raise ValueError("q must be in [0, 1]")
     n = sum(sk.n for sk in sketches)
     if n < 2:
-        raise InsufficientHistoryError("need at least 2 values for moments")
-    v, w = _weighted_items(sketches)
-    return _quantiles(v, w, n, qs), *_moments_of(v, w)
+        raise InsufficientHistoryError("need at least 2 pooled values")
+    v, w = _pooled_items(sketches)
+    order = np.argsort(v)
+    answers = _quantiles(v[order], w[order], n, qs)
+    if 0.0 in answers:
+        answers = _quantiles(*_weighted_items(sketches), n, qs)
+    return answers
 
 
 def _window_value(v) -> float:
@@ -315,11 +331,12 @@ class AdwinWindow:
     def update(self, v: float, scan: bool = True) -> bool:
         """Insert one value; returns True when a distribution shift was cut.
 
-        ``scan=False`` leaves the search for a cut to the caller, who runs
-        it for many windows at once (see ``update_many``).  A value that is
-        not finite or exceeds ``WINDOW_VALUE_BOUND`` in magnitude raises
-        ``ValueError`` before any bucket changes."""
-        v = _window_value(v)
+        A value that is not finite or exceeds ``WINDOW_VALUE_BOUND`` in
+        magnitude raises ``ValueError`` before any bucket changes.
+        ``scan=False`` is ``update_many``'s push: it has checked every value
+        already, and it searches for cuts in many windows at once."""
+        if scan:
+            v = _window_value(v)
         self._counts.append(1.0)
         self._sums.append(v)
         self._sumsqs.append(v * v)

@@ -23,6 +23,27 @@ from drivecast.exceptions import ConfigError
 from drivecast.features import PART_OF_DAY_CATEGORIES, default_schema
 
 
+# configs that name a boolean where a number belongs, or an entry twice,
+# with the field each is refused on
+BOOLEANS_AND_DUPLICATES = [
+    ({"evaluate": {"within_tol": {"departure": True, "distance": 5.0}}},
+     "evaluate.within_tol.departure"),
+    ({"tune": {"grids": {"qr": {"lr": [True]}}}}, "tune.grids.qr.lr"),
+    ({"tune": {"grids": {"qr": {"l2": [False]}}}}, "tune.grids.qr.l2"),
+    ({"tune": {"grids": {"mcnn": {"lr": [True]}}}}, "tune.grids.mcnn.lr"),
+    ({"tune": {"grids": {"mcnn": {"dropout": [False]}}}},
+     "tune.grids.mcnn.dropout"),
+    ({"tune": {"grids": {"mcnn": {"max_grad_norm": [True]}}}},
+     "tune.grids.mcnn.max_grad_norm"),
+    ({"tune": {"grids": {"qarf": {"warn_delta": [True]}}}},
+     "tune.grids.qarf.warn_delta"),
+    ({"evaluate": {"models": ["qr", "qr"]}}, "evaluate.models"),
+    ({"evaluate": {"targets": ["distance", "distance"]}},
+     "evaluate.targets"),
+    ({"tune": {"grids": {"qknn": {"k": [5, 10, 5.0]}}}}, "tune.grids.qknn.k"),
+]
+
+
 class TestConfig:
     def test_defaults_validate(self):
         cfg = load_config(None)
@@ -102,6 +123,14 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.field.startswith(field.split(".")[0])
+
+    @pytest.mark.parametrize("bad, field", BOOLEANS_AND_DUPLICATES)
+    def test_rejects_booleans_as_numbers_and_duplicates(self, bad, field):
+        """``True`` is not 1.0, and naming a model, target or grid value
+        twice would run it twice."""
+        with pytest.raises(ConfigError) as err:
+            load_config(None, bad)
+        assert err.value.field == field
 
     @pytest.mark.parametrize("text, field", [
         ('{"evaluate": {"confidence": 1e999}}', "evaluate.confidence"),
@@ -350,6 +379,16 @@ class TestCliErrors:
         path.write_text(json.dumps({"sede": 3}))
         assert main(["synth", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, field", BOOLEANS_AND_DUPLICATES)
+    def test_boolean_or_duplicate_is_one_line_exit_2(self, tmp_path, capsys,
+                                                     bad, field):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**bad, "out_dir": str(tmp_path / "out")}))
+        assert main(["synth", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "config error" in err and field in err
 
     def test_absent_config_is_exit_2(self, tmp_path):
         assert main(["synth", "--config",

@@ -304,43 +304,71 @@ class TestEvaluateFleet:
 # abstained) for every target on a small synthetic fleet; see
 # TestGoldenRecords.  One digest per kind shows which kind a change
 # moves.  ``qarf``'s moved when its intervals came to be read from the
-# pooled leaf-sketch items instead of a union sketch.
+# pooled leaf-sketch items instead of a union sketch, and again when its
+# ``sigma`` became None.
 GOLDEN_RECORDS_DIGESTS = {
     "mean": "466331763c70b08295e163f132ba2634de020947ab9a1ae86a8636fb2960bd31",
     "qr": "40dfc5c93efc04fd1856b2bc59fda8438a4009efaec00c2f97c503bb77bbd980",
     "qknn": "a38fada439ae7deb62382c79b5dee13f904b398aba7228e1a5ce9270d8347659",
-    "qarf": "4fe2ef8f20bd339a718b44f82925e5708fe13b3d59293e124724f8e2b861ec6f",
+    "qarf": "700635a87106624932e060f0a413c04a6e3774238d3bf817e2f386a54b37a3f3",
     "mcnn": "f4e946d5cf469897bff203443c71ef94bd272fb47b447ac8730ed2b071a0521e",
+}
+# the same records without ``sigma``: (point, lower, upper, abstained).
+# Recorded while ``qarf`` still fitted a Gaussian ``sigma`` and sorted its
+# pooled items stably; no faster interval query may move them
+GOLDEN_INTERVAL_DIGESTS = {
+    "mean": "da6ccf45a8730841b89dff849fe1786466bd2cb25f6d375077380a264af119d2",
+    "qr": "f89d39a721f598b121da195d40992a58bbaaac8aa315bd048da6783e9ef1d7ac",
+    "qknn": "f5ab68f2b5b0347b4ba91c2a1b3825bb38e6be6469369fc8e3a607ecf7a99bb8",
+    "qarf": "6bb128dc6756f16c1b7ff25cc32bf6e1e9b2a6a483da09748c89ab73c5845080",
+    "mcnn": "eac674bf5dc41663bfd9c0b75d4c60c834ba14ad8cbe8fd13484e16da02084ce",
 }
 
 
 class TestGoldenRecords:
-    def test_every_kind_and_target_bit_for_bit(self):
-        """Every interval any kind ships, pinned bit for bit: ``repr`` of a
-        float round-trips, so a one-ulp change to any field moves the
-        digest of its kind."""
-        fleet, _ = generate_fleet(n_regular=2, n_irregular=1, n_days=120,
-                                  seed=0)
-        kept, _ = preprocess_fleet(fleet)
+    @pytest.fixture(scope="class")
+    def records(self):
+        """Every kind's records for every target and vehicle of a small
+        synthetic fleet, in a fixed order."""
+        fleet = golden_fleet()
         schema = default_schema()
-        digests = {}
-        n_records = 0
+        out = {}
         for kind in MODEL_KINDS:
-            digest = hashlib.sha256()
+            out[kind] = []
             for target in TARGETS:
-                for vid in sorted(kept):
+                for vid, examples in fleet.items():
                     model = make_model(kind, schema.dim,
                                        seed=stable_seed(0, vid, kind, target))
-                    records = progressive_validate(
-                        model, FeaturePipeline(schema),
-                        build_daily_examples(kept[vid]), target)
-                    for r in records:
-                        digest.update(repr((r.point, r.lower, r.upper,
-                                            r.sigma, r.abstained)).encode())
-                    n_records += len(records)
-            digests[kind] = digest.hexdigest()
-        assert n_records > 0
-        assert digests == GOLDEN_RECORDS_DIGESTS
+                    out[kind] += progressive_validate(
+                        model, FeaturePipeline(schema), examples, target)
+        assert all(out.values())
+        return out
+
+    @staticmethod
+    def digests(records, fields):
+        """SHA-256 per kind of ``repr`` of each record's ``fields``:
+        ``repr`` of a float round-trips, so a one-ulp change to any field
+        moves the digest of its kind."""
+        out = {}
+        for kind, recs in records.items():
+            digest = hashlib.sha256()
+            for r in recs:
+                digest.update(repr(tuple(getattr(r, f)
+                                         for f in fields)).encode())
+            out[kind] = digest.hexdigest()
+        return out
+
+    def test_every_kind_and_target_bit_for_bit(self, records):
+        """Every interval and ``sigma`` any kind ships, pinned bit for
+        bit."""
+        assert self.digests(records, ("point", "lower", "upper", "sigma",
+                                      "abstained")) == GOLDEN_RECORDS_DIGESTS
+
+    def test_interval_bounds_bit_for_bit(self, records):
+        """Every point, bound and abstention any kind ships, pinned bit for
+        bit apart from ``sigma``."""
+        assert self.digests(records, ("point", "lower", "upper",
+                                      "abstained")) == GOLDEN_INTERVAL_DIGESTS
 
 
 def golden_fleet():

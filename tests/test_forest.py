@@ -16,15 +16,19 @@ from drivecast.forest import AdaptiveForest, HoeffdingTree, hoeffding_bound
 from drivecast.models import QuantileForest
 from drivecast.streaming import KllSketch
 
-# every interval of the golden run; recorded when intervals came to be
-# read from the pooled leaf-sketch items instead of a union sketch
-GOLDEN_DIGEST = ("d7d590cfae4b0a9c22c4b4315edb1f76"
-                 "0e0a2bd96b39529a041da7e932273262")
+# every interval of the golden run, sigma included; recorded when sigma
+# became None, with the bounds of GOLDEN_BOUNDS_DIGEST
+GOLDEN_DIGEST = ("7f172ee440c4e2570803e2fb9a27bf61"
+                 "298eefbb6a6d6ea39c5c5f87c1974bea")
 # the points alone; recorded with one sketch insert per bag copy, pairwise
 # sketch merges, two descents per tree and separate drift-window scans,
 # and no faster path or interval query may move them
 GOLDEN_POINTS_DIGEST = ("e09edfd1202b00fc84547275d603ee19"
                         "9fa3c081d26d967a7449ba0f1977d34c")
+# the points and bounds alone; recorded while every interval still fitted
+# a Gaussian sigma and sorted the pooled items stably
+GOLDEN_BOUNDS_DIGEST = ("577e21c7e5b23b6682b8b4be0af95a6d"
+                        "c0e6a5d34bf388fed4a61c82414580da")
 GOLDEN_COUNTS = (28, 31, 80)  # warnings, replacements, splits
 
 
@@ -495,7 +499,7 @@ class TestAdaptiveForest:
               + rng.normal(0, 0.5, 2000))
         ys[1000:] = 3.0 - ys[1000:]
         model = QuantileForest(3, seed=7, n_trees=4)
-        digest, points = hashlib.sha256(), hashlib.sha256()
+        digest, bounds, points = (hashlib.sha256() for _ in range(3))
         for x, y in zip(xs, ys):
             try:
                 pi = model.predict_interval(x)
@@ -504,6 +508,7 @@ class TestAdaptiveForest:
             except InsufficientHistoryError:
                 step = point = None
             digest.update(repr(step).encode())
+            bounds.update(repr(step and step[:3]).encode())
             points.update(repr(point).encode())
             model.learn_one(x, y)
         forest = model.forest
@@ -511,6 +516,7 @@ class TestAdaptiveForest:
         assert (forest.n_warnings, forest.n_replacements,
                 splits) == GOLDEN_COUNTS
         assert points.hexdigest() == GOLDEN_POINTS_DIGEST
+        assert bounds.hexdigest() == GOLDEN_BOUNDS_DIGEST
         assert digest.hexdigest() == GOLDEN_DIGEST
 
 

@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from drivecast import _kernels
+from drivecast import _kernels, streaming
 from drivecast.exceptions import DivergenceError, InsufficientHistoryError
 from drivecast.models import (
     LR_DECAY,
@@ -23,6 +23,7 @@ from drivecast.models import (
     make_model,
     z_for_confidence,
 )
+from drivecast.forest import SKETCH_K
 
 # sha256 over the pickled qr, qknn and mcnn of
 # TestGoldenPickledModels, at the default and the highest protocol
@@ -284,6 +285,44 @@ class TestQuantileForestModel:
         with pytest.raises(InsufficientHistoryError):
             model.predict_interval(np.zeros(2))
 
+    def test_sorted_items_per_query_stay_bounded(self, monkeypatch):
+        """Each interval query sorts the items its routed leaves' sketches
+        keep, at most ``n_trees`` sketches' capacity, and that count stays
+        flat from observation 1e3 to 1e4 of a stationary stream.
+
+        A leaf sketch's level sizes follow from its count of values alone,
+        so a ``KllSketch(SKETCH_K)`` given the largest routed count has the
+        largest capacity any routed sketch had."""
+        pool, sorted_items, counts = streaming._pooled_items, [], [0]
+
+        def counted(sketches):
+            v, w = pool(sketches)
+            sorted_items.append(len(v))
+            counts.extend(sk.n for sk in sketches)
+            return v, w
+
+        monkeypatch.setattr(streaming, "_pooled_items", counted)
+        n, dim = 10_000, 4
+        rng = np.random.default_rng(0)
+        xs = rng.normal(size=(n, dim))
+        ys = xs @ rng.normal(size=dim) + rng.normal(0.0, 0.5, size=n)
+        model = QuantileForest(dim, seed=0)
+        work = []
+        for x, y in zip(xs, ys):
+            sorted_items.clear()
+            try:
+                model.predict_interval(x)
+            except InsufficientHistoryError:
+                pass
+            work.append(sum(sorted_items))
+            model.learn_one(x, float(y))
+        widest = streaming.KllSketch(SKETCH_K)
+        widest.insert(0.0, max(counts))
+        assert max(work) <= model.forest.n_trees * widest._max
+        early, late = np.mean(work[1000:2000]), np.mean(work[-1000:])
+        assert early > 0
+        assert late <= 1.5 * early, (early, late)
+
 
 class TestMcDropoutGradients:
     def test_backprop_matches_finite_differences(self):
@@ -430,6 +469,20 @@ class TestFactoryAndCheckpoints:
         """A bool or a fractional count is an error, not a truncation; an
         integral float is the same count."""
         for bad in (good + 0.5, True, False, float("nan")):
+            with pytest.raises(ValueError, match=param):
+                make_model(kind, 3, **{param: bad})
+        model = make_model(kind, 3, **{param: float(good)})
+        same = make_model(kind, 3, **{param: good})
+        assert pickle.dumps(model) == pickle.dumps(same)
+
+    @pytest.mark.parametrize("kind, param, good", [
+        ("qr", "lr", 1), ("qr", "l2", 0), ("mcnn", "lr", 1),
+        ("mcnn", "dropout", 0), ("mcnn", "max_grad_norm", 5),
+        ("qarf", "warn_delta", 0.05), ("qarf", "drift_delta", 0.01)])
+    def test_float_params_refuse_booleans(self, kind, param, good):
+        """A bool is an error, not 1.0 or 0.0; an int is the same
+        setting as its float."""
+        for bad in (True, False, "0.1", [good]):
             with pytest.raises(ValueError, match=param):
                 make_model(kind, 3, **{param: bad})
         model = make_model(kind, 3, **{param: float(good)})
