@@ -20,7 +20,11 @@ depends on the example being encoded.  One-hot columns pass through
 unscaled.  The standardizer holds one ``RunningStats`` per scaled column,
 the module's one Welford accumulator, and works on a row as a list of
 Python floats: with a few dozen columns per call, numpy's per-call cost
-would be most of the work.
+would be most of the work.  Per scaled value it makes one
+``RunningStats.zscore_update`` call, which returns the z against the
+earlier rows and folds the value in.  The schema compiles its
+descriptors into one list per kind, so ``encode_row`` runs one loop per
+kind with no dispatch on the kind of each descriptor.
 
 The rules every learner applies to its inputs and count settings live
 here once: ``check_features``, ``check_target`` and ``check_count``.
@@ -53,6 +57,10 @@ DRIVE_SIGNALS = ("speed_mean", "speed_std", "accel_mean", "accel_std",
 
 # Days in ``target_run_avg``, the running average of the latest targets.
 RUN_AVG_WINDOW = 7
+
+# A cyclic phase is 2*pi*(v - offset)/period; Python multiplies left to
+# right, so ``_TWO_PI * d`` is the float ``2.0 * math.pi * d`` gives.
+_TWO_PI = 2.0 * math.pi
 
 
 def part_of_day(hour: float) -> str:
@@ -109,20 +117,29 @@ class FeatureSchema:
             raise ValueError("duplicate descriptor names")
         self.specs = list(specs)
         self._slices: dict[str, slice] = {}
-        # what ``encode`` reads per descriptor, compiled once: kind, name,
-        # source, first column, period, offset and category -> offset
-        self._plan = []
+        # what ``encode_row`` reads, compiled once per kind so that each
+        # kind runs its own loop: (source, column) per numeric descriptor,
+        # (source, first column, offset, period) per cyclic one, and
+        # (name, source, category -> column) per one-hot group
+        self._numeric: list[tuple] = []
+        self._cyclic: list[tuple] = []
+        self._onehot: list[tuple] = []
         at = 0
         for s in self.specs:
             self._slices[s.name] = slice(at, at + s.width)
-            self._plan.append((s.kind, s.name, s.source, at, s.period,
-                               s.offset, {c: s.categories.index(c)
-                                          for c in s.categories}))
+            if s.kind == "numeric":
+                self._numeric.append((s.source, at))
+            elif s.kind == "cyclic":
+                self._cyclic.append((s.source, at, s.offset, s.period))
+            else:
+                self._onehot.append((s.name, s.source, {
+                    c: at + s.categories.index(c) for c in s.categories}))
             at += s.width
         self.dim = at
 
     def __reduce__(self):
-        # the slices and the plan derive from the specs: pickle only those
+        # the slices and the per-kind lists derive from the specs:
+        # pickle only those
         return (type(self), (self.specs,))
 
     @property
@@ -163,32 +180,34 @@ class FeatureSchema:
 
     def encode_row(self, raw: dict) -> list[float]:
         """``encode`` as a list of Python floats, the row the
-        standardizer reads."""
+        standardizer reads.  Numeric, then cyclic, then one-hot
+        descriptors are read, so a row with faults of two kinds raises
+        the first kind's error."""
         x = [0.0] * self.dim
-        for kind, name, source, at, period, offset, index in self._plan:
-            v = raw.get(source)
-            if kind == "onehot":
-                if v is None:
-                    continue
-                try:
-                    x[at + index[v]] = 1.0
-                except (KeyError, TypeError):
-                    raise DataError(
-                        f"unknown category {v!r} for descriptor {name}"
-                    ) from None
-                continue
+        get = raw.get
+        for source, at in self._numeric:
+            v = get(source)
+            x[at] = (math.nan if v is None
+                     or (isinstance(v, float) and math.isnan(v))
+                     else float(v))
+        for source, at, offset, period in self._cyclic:
+            v = get(source)
             if v is None or (isinstance(v, float) and math.isnan(v)):
-                x[at] = math.nan
-                if kind == "cyclic":
-                    x[at + 1] = math.nan
+                x[at] = x[at + 1] = math.nan
                 continue
-            v = float(v)
-            if kind == "numeric":
-                x[at] = v
-            else:
-                phase = 2.0 * math.pi * (v - offset) / period
-                x[at] = math.sin(phase)
-                x[at + 1] = math.cos(phase)
+            phase = _TWO_PI * (float(v) - offset) / period
+            x[at] = math.sin(phase)
+            x[at + 1] = math.cos(phase)
+        for name, source, columns in self._onehot:
+            v = get(source)
+            if v is None:
+                continue
+            try:
+                x[columns[v]] = 1.0
+            except (KeyError, TypeError):
+                raise DataError(
+                    f"unknown category {v!r} for descriptor {name}"
+                ) from None
         return x
 
 
@@ -252,13 +271,17 @@ def check_count(name: str, value) -> int:
     return int(value)
 
 
-def check_float(name: str, value) -> float:
+def check_float(name: str, value, finite: bool = False) -> float:
     """``value`` as a float for a real-valued hyperparameter.  A bool is
-    rejected, not read as 0.0 or 1.0."""
+    rejected, not read as 0.0 or 1.0, and so is NaN; with ``finite``, so
+    are +-inf."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if math.isnan(value) or finite and math.isinf(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class RunningStats:
@@ -271,17 +294,33 @@ class RunningStats:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def update(self, v: float) -> None:
+    def update(self, v: float) -> float:
+        """Fold ``v`` in; returns ``v`` minus the mean before it, the
+        numerator of its z-score."""
         self.count += 1
         delta = v - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (v - self.mean)
+        return delta
 
     @property
     def std(self) -> float:
         if self.count < 2:
             return 0.0
         return math.sqrt(max(self.m2 / (self.count - 1), 0.0))
+
+    def zscore_update(self, v: float) -> float | None:
+        """``v``'s z-score against the values folded in so far, or None
+        while they are fewer than two or their ``std`` is at most 1e-9;
+        then fold ``v`` in.  One call does what ``std``, the z and
+        ``update`` do in turn, to the bit."""
+        n, m2 = self.count, self.m2
+        delta = self.update(v)
+        if n > 1:
+            std = math.sqrt(max(m2 / (n - 1), 0.0))
+            if std > 1e-9:
+                return delta / std
+        return None
 
 
 class OnlineStandardizer:
@@ -304,13 +343,19 @@ class OnlineStandardizer:
         if len(passthrough) != dim:
             raise ValueError(
                 f"expected {dim} passthrough flags, got {len(passthrough)}")
-        # one RunningStats per scaled column, None for a passthrough one
-        self._stats = [None if p else RunningStats() for p in passthrough]
+        # the scaled columns and one RunningStats for each, in two lists (a
+        # list of pairs costs a tuple per column), then the passthrough ones
+        self._scaled = [j for j, p in enumerate(passthrough) if not p]
+        self._stats = [RunningStats() for _ in self._scaled]
+        self._passthrough = [j for j, p in enumerate(passthrough) if p]
 
     @property
     def count(self) -> np.ndarray:
         """Finite values each column's statistics hold (0 if passthrough)."""
-        return np.array([0.0 if s is None else s.count for s in self._stats])
+        out = np.zeros(self.dim)
+        for j, stats in zip(self._scaled, self._stats):
+            out[j] = stats.count
+        return out
 
     def transform_update(self, x) -> np.ndarray:
         """Standardize one row, then fold it into the statistics.  ``x`` is
@@ -326,18 +371,18 @@ class OnlineStandardizer:
                 raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
             x = x.tolist()
         z = [0.0] * self.dim
-        for j, (v, stats) in enumerate(zip(x, self._stats)):
-            if not math.isfinite(v):
-                continue
-            if stats is None:
+        # ``v - v == 0.0`` is ``math.isfinite(v)`` without the call
+        for j, stats in zip(self._scaled, self._stats):
+            v = x[j]
+            if v - v == 0.0:
+                zj = stats.zscore_update(v)
+                if zj is not None:
+                    # clipped as np.clip does it: a NaN stays NaN
+                    z[j] = 8.0 if zj > 8.0 else -8.0 if zj < -8.0 else zj
+        for j in self._passthrough:
+            v = x[j]
+            if v - v == 0.0:
                 z[j] = v
-                continue
-            std = stats.std
-            if std > 1e-9:
-                # clipped as np.clip does it: a NaN stays NaN
-                zj = (v - stats.mean) / std
-                z[j] = 8.0 if zj > 8.0 else -8.0 if zj < -8.0 else zj
-            stats.update(v)
         return np.array(z)
 
 

@@ -177,10 +177,10 @@ class QuantileRegressor(OnlineModel):
             # step size that keeps the heads stable regardless of how
             # many standardized columns feed them
             lr = 0.1 / math.sqrt(n_features + 1)
-        self.lr = check_float("lr", lr)
+        self.lr = check_float("lr", lr, finite=True)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        self.l2 = check_float("l2", l2)
+        self.l2 = check_float("l2", l2, finite=True)
         alpha = (1.0 - self.confidence) / 2.0
         self.taus = (alpha, 0.5, 1.0 - alpha)
         self.thetas = np.zeros((3, n_features + 1))
@@ -349,7 +349,7 @@ class McDropoutNet(OnlineModel):
         n_passes = check_count("n_passes", n_passes)
         residual_window = check_count("residual_window", residual_window)
         dropout = check_float("dropout", dropout)
-        lr = check_float("lr", lr)
+        lr = check_float("lr", lr, finite=True)
         max_grad_norm = check_float("max_grad_norm", max_grad_norm)
         if not hidden or any(h < 1 for h in hidden):
             raise ValueError("hidden must name at least one positive width")
@@ -359,7 +359,7 @@ class McDropoutNet(OnlineModel):
             raise ValueError("need at least 2 stochastic passes")
         if residual_window < 1:
             raise ValueError("residual_window must be positive")
-        if max_grad_norm <= 0:
+        if max_grad_norm <= 0:  # +inf is allowed and turns clipping off
             raise ValueError("max_grad_norm must be positive")
         self.hidden = hidden
         self.dropout = dropout
@@ -403,7 +403,12 @@ class McDropoutNet(OnlineModel):
 
     def _forward_batch(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """All stochastic passes at once; rows are passes."""
-        a = np.broadcast_to(x, (self.n_passes, len(x)))
+        # every pass reads the same x: a read-only view with a zero row
+        # stride, the array np.broadcast_to makes for a contiguous x, built
+        # for less
+        x = np.ascontiguousarray(x)
+        a = np.ndarray((self.n_passes, len(x)), x.dtype, x, 0, (0, x.itemsize))
+        a.flags.writeable = False
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             a = a @ w.T
             a += b

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -307,8 +308,8 @@ class TestFeaturePipeline:
 
     def test_round_tripped_pipeline_transforms_same_bytes(self):
         """A schema pickles as its specs and rebuilds its column slices
-        and encode plan when loaded; the restored pipeline goes on giving
-        the same rows as one that never stopped."""
+        and per-kind encode lists when loaded; the restored pipeline goes
+        on giving the same rows as one that never stopped."""
         fleet, _ = generate_fleet(n_regular=1, n_irregular=1, n_days=120,
                                   seed=4)
         kept, _ = preprocess_fleet(fleet)
@@ -319,15 +320,17 @@ class TestFeaturePipeline:
                 pipe.transform(ex.features)
                 pipe.update_target(ex.target_distance)
             clone = pickle.loads(pickle.dumps(pipe))
-            assert clone.schema._plan == pipe.schema._plan
-            assert clone.schema._slices == pipe.schema._slices
+            for part in ("_numeric", "_cyclic", "_onehot", "_slices"):
+                assert getattr(clone.schema, part) == \
+                    getattr(pipe.schema, part)
             for ex in examples[50:]:
                 assert clone.transform(ex.features).tobytes() == \
                     pipe.transform(ex.features).tobytes()
                 clone.update_target(ex.target_distance)
                 pipe.update_target(ex.target_distance)
         data = pickle.dumps(default_schema())
-        assert b"_plan" not in data and b"_slices" not in data
+        for part in (b"_numeric", b"_cyclic", b"_onehot", b"_slices"):
+            assert part not in data
         assert len(data) < len(pickle.dumps(default_schema().specs)) + 100
 
 
@@ -498,3 +501,111 @@ class TestTransformOracle:
                 want = ref.transform_update(x)
             assert std.transform_update(x).tobytes() == want.tobytes()
         assert std.count.tobytes() == ref.count.tobytes()
+
+
+# -- the std-then-update writing of a scaled column's step, kept as the
+# oracle of ``RunningStats.zscore_update``
+
+
+def reference_zscore_update(stats, v):
+    """The z the standardizer read from ``std`` and ``mean`` before the
+    update, then the Welford update, each as first written."""
+    if stats.count < 2:
+        std = 0.0
+    else:
+        std = math.sqrt(max(stats.m2 / (stats.count - 1), 0.0))
+    z = (v - stats.mean) / std if std > 1e-9 else None
+    stats.count += 1
+    delta = v - stats.mean
+    stats.mean += delta / stats.count
+    stats.m2 += delta * (v - stats.mean)
+    return z
+
+
+def float_bits(v):
+    """``v``'s bytes, so that -0.0 and 0.0 differ and a NaN equals
+    itself; None stays None."""
+    return None if v is None else struct.pack("<d", v)
+
+
+def state_bits(stats):
+    return stats.count, float_bits(stats.mean), float_bits(stats.m2)
+
+
+class TestZscoreUpdateOracle:
+    """``RunningStats.zscore_update`` returns the z and leaves the
+    ``count``, ``mean`` and ``m2`` of the writing above, to the bit."""
+
+    @staticmethod
+    def assert_matches(values, stats=None):
+        stats = RunningStats() if stats is None else stats
+        ref = pickle.loads(pickle.dumps(stats))
+        zs = []
+        for t, v in enumerate(values):
+            z = stats.zscore_update(v)
+            assert float_bits(z) == float_bits(
+                reference_zscore_update(ref, v)), (t, v)
+            assert type(stats.count) is int
+            assert state_bits(stats) == state_bits(ref), (t, v)
+            zs.append(z)
+        return zs
+
+    def test_count_zero_one_two(self):
+        """No z from an empty or a one-value history; the third value is
+        the first with a z."""
+        assert self.assert_matches([3.0, 5.0, 8.0, -1.0])[:2] == [None, None]
+        for first in ([], [2.5], [2.5, -4.0]):
+            for v in (0.0, 1.0, -7.25, 1e300):
+                stats = RunningStats()
+                for u in first:
+                    stats.update(u)
+                z = self.assert_matches([v], stats)[0]
+                assert (z is None) == (len(first) < 2)
+
+    def test_constant_runs_and_the_spread_threshold(self):
+        """A constant run has no spread, so no z; a spread just above
+        1e-9 gives one and one just below does not."""
+        assert self.assert_matches([4.0] * 20) == [None] * 20
+        assert self.assert_matches([0.0, 2e-9, 1.0])[2] is not None
+        assert self.assert_matches([0.0, 1e-9, 1.0])[2] is None
+        self.assert_matches([1.0] * 5 + [1.0 + 1e-12] * 5 + [2.0] * 5)
+
+    def test_signed_zeros(self):
+        zs = self.assert_matches([0.0, -0.0, -0.0, 0.0, -0.0, 1.0, -0.0])
+        assert zs[-1] is not None and zs[-1] < 0.0
+        self.assert_matches([-0.0] * 4 + [-1.0, 1.0, -0.0, 0.0])
+
+    def test_values_whose_z_or_m2_overflows(self):
+        """Near 1e308 a difference, a square or a z leaves the finite
+        range: infinities and NaNs must come out as the oracle's."""
+        zs = self.assert_matches([-1.5e308, -1.5e308 + 1e300, 1e308,
+                                  1.7e308, -1.7e308, 0.0, 5.0])
+        assert any(z is not None and not math.isfinite(z) for z in zs)
+        self.assert_matches([1e308, -1e308, 1e308, -1e308, 1.0])
+        # a tiny spread, then a value far away: a finite z that is huge
+        zs = self.assert_matches([0.0, 1e-8, 1e-8, 1.7e308])
+        assert zs[-1] is not None and zs[-1] > 1e300
+        stats = RunningStats()
+        self.assert_matches([1e308, -1e308, 1e308], stats)
+        assert not math.isfinite(stats.m2)
+
+    def test_random_streams_with_special_values(self):
+        rng = np.random.default_rng(17)
+        specials = [0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, math.nan]
+        for _ in range(20):
+            values = (rng.normal(size=300)
+                      * 10.0 ** rng.integers(-8, 9, 300)).tolist()
+            for i in rng.integers(0, 300, 6).tolist():
+                values[i] = specials[rng.integers(len(specials))]
+            self.assert_matches(values)
+
+    def test_pickle_round_trip_mid_stream(self):
+        """A statistic restored from its pickle goes on as the one that
+        never stopped, and both as the oracle."""
+        values = np.random.default_rng(18).normal(3.0, 2.0, 200).tolist()
+        stats = RunningStats()
+        self.assert_matches(values[:100], stats)
+        clone = pickle.loads(pickle.dumps(stats))
+        assert state_bits(clone) == state_bits(stats)
+        assert self.assert_matches(values[100:], clone) == \
+            self.assert_matches(values[100:], stats)

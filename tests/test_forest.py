@@ -314,6 +314,32 @@ class TestAdaptiveForest:
         assert adaptive.n_replacements > 0
         assert frozen.n_replacements == 0
 
+    def test_leaves_learned_per_step_stay_bounded(self, monkeypatch):
+        """Each ``learn_one`` makes at most one ``_learn_leaves`` call, on
+        at most one leaf of every tree and one of every background tree:
+        ``2 * n_trees`` leaves, through a drift and its replacements."""
+        learn_leaves, per_step = forest_module._learn_leaves, []
+
+        def counted(leaves, x, y, weights):
+            per_step[-1].append(len(leaves))
+            return learn_leaves(leaves, x, y, weights)
+
+        monkeypatch.setattr(forest_module, "_learn_leaves", counted)
+        rng = np.random.default_rng(12)
+        forest = AdaptiveForest(3, n_trees=5, seed=1)
+        xs1, ys1 = threshold_stream(rng, 600)
+        xs2, ys2 = threshold_stream(rng, 600, flip=True)
+        for x, y in zip(np.vstack([xs1, xs2]), np.concatenate([ys1, ys2])):
+            per_step.append([])
+            forest.learn_one(x, y)
+        assert all(len(calls) <= 1 for calls in per_step)
+        touched = [sum(calls) for calls in per_step]
+        assert max(touched) <= 2 * forest.n_trees
+        # some step trained background trees beside their trees, so the
+        # bound is tested, not met by a forest that never warned
+        assert max(touched) > forest.n_trees
+        assert forest.n_replacements > 0
+
     def test_drift_recovery_beats_frozen(self):
         rng = np.random.default_rng(13)
         adaptive = AdaptiveForest(3, n_trees=5, seed=2)

@@ -489,6 +489,30 @@ class TestFactoryAndCheckpoints:
         same = make_model(kind, 3, **{param: good})
         assert pickle.dumps(model) == pickle.dumps(same)
 
+    @pytest.mark.parametrize("kind, param", [
+        ("qr", "lr"), ("qr", "l2"), ("mcnn", "lr"), ("mcnn", "max_grad_norm")])
+    def test_float_params_refuse_nan_and_infinities(self, kind, param):
+        """A NaN or infinite setting fails at construction, not at the
+        first ``learn_one`` or never; ``max_grad_norm`` alone takes +inf,
+        which turns clipping off."""
+        bads = [math.nan, np.float64("nan"), -math.inf]
+        if param != "max_grad_norm":
+            bads.append(math.inf)
+        for bad in bads:
+            with pytest.raises(ValueError, match=param):
+                make_model(kind, 3, **{param: bad})
+
+    def test_infinite_max_grad_norm_never_clips(self):
+        rng = np.random.default_rng(14)
+        unclipped = make_model("mcnn", 3, seed=2, max_grad_norm=math.inf)
+        huge = make_model("mcnn", 3, seed=2, max_grad_norm=1e300)
+        for x in rng.normal(size=(100, 3)):
+            y = float(x.sum() * 50.0)
+            unclipped.learn_one(x, y)
+            huge.learn_one(x, y)
+        assert unclipped.max_grad_norm == math.inf
+        assert pickle.dumps(unclipped.weights) == pickle.dumps(huge.weights)
+
     def test_hidden_widths_are_whole_numbers(self):
         for bad in ((16.5,), (True,), (8, 4.25)):
             with pytest.raises(ValueError, match="hidden"):
@@ -764,6 +788,25 @@ class TestLightKindOracle:
             scaler.update(y)
         assert clamped >= 2
         self.run(model, stream, reference_mcnn_predict, reference_mcnn_learn)
+
+    def test_mcnn_strided_rows(self):
+        """A row that is a strided view, every other value of a wider row
+        or a reversed one, gives the ``np.broadcast_to`` reference's bytes
+        on that same view, and is left as it was."""
+        stream = []
+        for t, (x, y) in enumerate(oracle_stream(26, 600, 5)):
+            if t % 2:
+                wide = np.zeros(10)
+                wide[::2] = x
+                x = wide[::2]
+            else:
+                x = x[::-1].copy()[::-1]
+            assert not x.flags.c_contiguous
+            stream.append((x, y))
+        rows = [x.tobytes() for x, _ in stream]
+        model = McDropoutNet(5, seed=3, hidden=(8, 4))
+        self.run(model, stream, reference_mcnn_predict, reference_mcnn_learn)
+        assert [x.tobytes() for x, _ in stream] == rows
 
 
 class TestGoldenPickledModels:

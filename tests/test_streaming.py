@@ -348,6 +348,29 @@ class TestAdwinWindow:
             assert max(Counter(counts).values()) <= 5
             assert sum(counts) == w.width
 
+    def test_rows_scanned_per_update_stay_bounded(self, monkeypatch):
+        """Each cut scan reads a window's bucket rows: at most
+        ``_MAX_BUCKETS`` of every size up to the window's width, so about
+        ``_MAX_BUCKETS * log2(width)``.  The rows scanned per update stay
+        flat from observation 1e3 to 1e4 of a stationary stream."""
+        adwin_cut, scanned = streaming._kernels.adwin_cut, []
+
+        def counted(counts, sums, sumsqs, deltas, rows):
+            for row, r in zip(counts.tolist(), rows.tolist()):
+                width = sum(row[:r])
+                assert r <= _MAX_BUCKETS * (math.floor(math.log2(width)) + 1)
+                scanned[-1] += r
+            return adwin_cut(counts, sums, sumsqs, deltas, rows)
+
+        monkeypatch.setattr(streaming._kernels, "adwin_cut", counted)
+        w = AdwinWindow(delta=0.002)
+        for v in np.random.default_rng(5).normal(size=10_000):
+            scanned.append(0)
+            w.update(v)
+        early, late = np.mean(scanned[1000:2000]), np.mean(scanned[-1000:])
+        assert early > 0
+        assert late <= 1.5 * early, (early, late)
+
     def test_detects_step_change_quickly(self):
         rng = np.random.default_rng(2)
         w = AdwinWindow(delta=0.002)
