@@ -15,6 +15,7 @@ import math
 
 from .evaluation import DEFAULT_WARMUP, DEFAULT_WITHIN_TOL, TARGETS
 from .exceptions import ConfigError
+from .features import check_setting
 from .models import MODEL_KINDS, make_model
 
 DEFAULT_CONFIG: dict = {
@@ -64,21 +65,23 @@ def _merge(base: dict, override: dict, path: str) -> dict:
     return out
 
 
-def _need(cfg: dict, field: str, kinds, low=None, high=None):
-    parts = field.split(".")
+def _need(cfg: dict, field: str, kind: type, low=None, high=None,
+          **bounds):
+    """The setting at dotted ``field`` through ``check_setting``, written
+    back as checked: ``{"seed": 2.0}`` loads as 2.  An absent or refused
+    setting is a ConfigError on ``field``."""
+    *path, key = field.split(".")
     node = cfg
-    for p in parts:
+    for p in path:
         node = node[p]
-    if isinstance(node, bool) and bool not in (
-            kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ConfigError(field, f"expected {kinds}, got a boolean")
-    if not isinstance(node, kinds):
-        raise ConfigError(field, f"expected {kinds}, got {type(node).__name__}")
-    if low is not None and node < low:
-        raise ConfigError(field, f"must be >= {low}, got {node}")
-    if high is not None and node > high:
-        raise ConfigError(field, f"must be <= {high}, got {node}")
-    return node
+    if key not in node:
+        raise ConfigError(field, "is required")
+    try:
+        node[key] = check_setting(field, node[key], kind, low, high,
+                                  **bounds)
+    except ValueError as e:
+        raise ConfigError(field, str(e).removeprefix(f"{field} ")) from None
+    return node[key]
 
 
 def check_model_param(field: str, kind: str, param: str, value) -> None:
@@ -114,7 +117,9 @@ def _no_repeats(field: str, values: list) -> None:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Type- and range-check every option; returns the config unchanged.
+    """Type- and range-check every option; returns the config, each
+    setting as ``check_setting`` returns it (an integral float as an int
+    where an int belongs, an int as a float where a float belongs).
 
     No float anywhere in it may be NaN or infinite: Python's json reads
     NaN, Infinity and numbers too large for a double, and no setting
@@ -127,31 +132,20 @@ def validate_config(cfg: dict) -> dict:
     if cfg["synth"]["n_regular"] + cfg["synth"]["n_irregular"] < 1:
         raise ConfigError("synth", "fleet must contain at least one vehicle")
     _need(cfg, "synth.n_days", int, low=2)
-    drift = cfg["synth"]["drift"]
-    if drift is not None:
-        if not isinstance(drift, dict):
-            raise ConfigError("synth.drift", "expected an object or null")
+    if cfg["synth"]["drift"] is not None:
+        drift = _need(cfg, "synth.drift", dict)
         extra = set(drift) - {"day", "duration", "departure_shift",
                               "distance_shift", "fraction"}
         if extra:
             raise ConfigError("synth.drift", f"unknown keys {sorted(extra)}")
-        for k, v in drift.items():
-            if isinstance(v, bool):
-                raise ConfigError(f"synth.drift.{k}",
-                                  "expected a number, got a boolean")
-        if not isinstance(drift.get("day"), int) or drift["day"] < 0:
-            raise ConfigError("synth.drift.day", "need a day index >= 0")
-        duration = drift.get("duration")
-        if duration is not None and (
-                not isinstance(duration, (int, float)) or duration <= 0):
-            raise ConfigError("synth.drift.duration",
-                              "must be a positive number of days or null")
-        frac = drift.get("fraction", 0.0)
-        if not isinstance(frac, (int, float)) or not 0.0 <= frac <= 1.0:
-            raise ConfigError("synth.drift.fraction", "must lie in [0, 1]")
+        _need(cfg, "synth.drift.day", int, 0)
+        # a drift planted on no vehicle would pass unreported
+        _need(cfg, "synth.drift.fraction", float, 0.0, 1.0, low_open=True)
+        if drift.get("duration") is not None:  # null: a permanent shift
+            _need(cfg, "synth.drift.duration", float, 0.0, low_open=True)
         for k in ("departure_shift", "distance_shift"):
-            if not isinstance(drift.get(k, 0.0), (int, float)):
-                raise ConfigError(f"synth.drift.{k}", "must be a number")
+            if k in drift:
+                _need(cfg, f"synth.drift.{k}", float)
 
     _need(cfg, "select.n_select", int, low=1)
     _need(cfg, "select.run_backward", bool)
@@ -190,13 +184,15 @@ def validate_config(cfg: dict) -> dict:
     if not targets:
         raise ConfigError("evaluate.targets", "need at least one target")
     _need(cfg, "evaluate.warmup", int, low=0)
-    _need(cfg, "evaluate.confidence", (int, float))
-    if not 0.0 < cfg["evaluate"]["confidence"] < 1.0:
-        raise ConfigError("evaluate.confidence", "must lie in (0, 1)")
+    _need(cfg, "evaluate.confidence", float, 0.0, 1.0, low_open=True,
+          high_open=True)
     tol = _need(cfg, "evaluate.within_tol", dict)
+    for t in tol:
+        if t not in TARGETS:
+            raise ConfigError(f"evaluate.within_tol.{t}", "unknown option")
+        _need(cfg, f"evaluate.within_tol.{t}", float, 0.0, low_open=True)
     for t in targets:
-        if t not in tol or isinstance(tol[t], bool) \
-                or not isinstance(tol[t], (int, float)) or tol[t] <= 0:
+        if t not in tol:
             raise ConfigError(f"evaluate.within_tol.{t}",
                               "need a positive tolerance per target")
     return cfg

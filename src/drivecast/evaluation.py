@@ -23,7 +23,7 @@ import numpy as np
 
 from .data_model import DailyExample
 from .exceptions import ConfigError, DataError, InsufficientHistoryError
-from .features import FeaturePipeline, FeatureSchema
+from .features import FeaturePipeline, FeatureSchema, check_setting
 from .models import MODEL_KINDS, OnlineModel, PredictionInterval, make_model
 
 TARGETS = ("departure", "distance")
@@ -142,8 +142,7 @@ def error_over_time(records: list[DayRecord],
                     stride: int = CURVE_STRIDE) -> list[dict]:
     """Fleet error as history accumulates: records are bucketed by their
     within-vehicle day index and averaged per bucket of ``stride`` days."""
-    if stride < 1:
-        raise ValueError("stride must be positive")
+    stride = check_setting("stride", stride, int, 1)
     by_vehicle: dict[str, list[DayRecord]] = {}
     for r in records:
         by_vehicle.setdefault(r.vehicle_id, []).append(r)

@@ -26,8 +26,10 @@ earlier rows and folds the value in.  The schema compiles its
 descriptors into one list per kind, so ``encode_row`` runs one loop per
 kind with no dispatch on the kind of each descriptor.
 
-The rules every learner applies to its inputs and count settings live
-here once: ``check_features``, ``check_target`` and ``check_count``.
+The rules every learner applies to its inputs and settings live here
+once: ``check_features``, ``check_target`` and ``check_setting``, which
+checks every model, tree, forest, sketch, window and config setting: a
+bool, whole or real value in a range closed or open at either end.
 """
 
 from __future__ import annotations
@@ -243,7 +245,8 @@ def default_schema() -> FeatureSchema:
 
 def check_features(x, n_features: int) -> np.ndarray:
     """``x`` as a vector of ``n_features`` finite floats."""
-    x = np.asarray(x, dtype=float)
+    # contiguous, so that a strided view gives its copy's bits
+    x = np.asarray(x, dtype=float, order="C")
     if x.shape != (n_features,):
         raise ValueError(
             f"expected {n_features} features, got shape {x.shape}")
@@ -260,27 +263,45 @@ def check_target(y) -> float:
     return y
 
 
-def check_count(name: str, value) -> int:
-    """``value`` as an int for a count-like hyperparameter.  A bool or a
-    number with a fractional part is rejected, not truncated."""
-    if isinstance(value, (bool, np.bool_)) or not (
-            isinstance(value, (int, np.integer))
-            or isinstance(value, (float, np.floating))
-            and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+_KIND_WORDS = {bool: "a boolean", int: "a whole number", float: "a number"}
 
 
-def check_float(name: str, value, finite: bool = False) -> float:
-    """``value`` as a float for a real-valued hyperparameter.  A bool is
-    rejected, not read as 0.0 or 1.0, and so is NaN; with ``finite``, so
-    are +-inf."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if math.isnan(value) or finite and math.isinf(value):
+def check_setting(name: str, value, kind: type, low=None, high=None, *,
+                  low_open: bool = False, high_open: bool = False,
+                  inf: bool = False):
+    """``value`` as a ``kind`` setting from ``low`` to ``high`` (None for
+    no bound; closed unless ``low_open``/``high_open``), or ``ValueError``
+    naming ``name``.  A bool setting takes a bool alone, and no other
+    takes one; an int setting takes an integral float and a float setting
+    an int, returned as a Python int or float.  NaN never passes, +-inf
+    only with ``inf``.  Any other ``kind`` is an ``isinstance`` test."""
+    is_bool = isinstance(value, (bool, np.bool_))
+    if kind is bool or is_bool:
+        ok = kind is bool and is_bool
+    elif kind is int:
+        ok = isinstance(value, (int, np.integer)) or isinstance(
+            value, (float, np.floating)) and float(value).is_integer()
+    else:
+        ok = isinstance(value, (int, float, np.integer, np.floating)
+                        if kind is float else kind)
+    if not ok:
+        raise ValueError(f"{name} must be "
+                         f"{_KIND_WORDS.get(kind, 'a ' + kind.__name__)}, "
+                         f"got {value!r}")
+    if kind not in _KIND_WORDS:
+        return value
+    try:
+        value = kind(value)
+    except OverflowError:  # an int too large for a double
+        value = math.inf if value > 0 else -math.inf
+    if value != value or not inf and abs(value) == math.inf:
         raise ValueError(f"{name} must be finite, got {value!r}")
+    if low is not None and (value <= low if low_open else value < low):
+        raise ValueError(f"{name} must be {'>' if low_open else '>='} "
+                         f"{low}, got {value!r}")
+    if high is not None and (value >= high if high_open else value > high):
+        raise ValueError(f"{name} must be {'<' if high_open else '<='} "
+                         f"{high}, got {value!r}")
     return value
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
-from .features import check_count, check_features, check_float, check_target
+from .features import check_features, check_setting, check_target
 from .streaming import AdwinWindow, KllSketch, update_many
 
 # A leaf splits when its best candidate beats the runner-up with
@@ -48,6 +48,12 @@ DELTA_SPLIT = 1e-5
 TIE_TAU = 0.05
 LAMBDA_BAG = 6.0
 SKETCH_K = 64
+
+# The largest value of each setting that sizes a forest's memory or work:
+# far above any grid in use, and refused before anything is allocated.
+N_TREES_CAP = 1_000
+N_BINS_CAP = 1_000  # histogram bins per feature of every leaf
+MAX_DEPTH_CAP = 64
 
 
 def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
@@ -122,22 +128,15 @@ class HoeffdingTree:
     def __init__(self, n_features: int, seed: int = 0, grace_period: int = 50,
                  n_bins: int = 10, max_depth: int = 12,
                  subspace: int | None = None):
-        if n_features < 1:
-            raise ValueError("need at least one feature")
-        self.n_features = n_features
-        self.grace_period = check_count("grace_period", grace_period)
-        if self.grace_period < 1:
-            raise ValueError(
-                f"grace_period must be at least 1, got {grace_period!r}")
-        self.n_bins = check_count("n_bins", n_bins)
-        if self.n_bins < 2:
-            raise ValueError(f"n_bins must be at least 2, got {n_bins!r}")
-        self.max_depth = check_count("max_depth", max_depth)
+        self.n_features = check_setting("n_features", n_features, int, 1)
+        self.grace_period = check_setting("grace_period", grace_period, int,
+                                          1)
+        self.n_bins = check_setting("n_bins", n_bins, int, 2, N_BINS_CAP)
+        self.max_depth = check_setting("max_depth", max_depth, int, 0,
+                                       MAX_DEPTH_CAP)
         if subspace is None:
             subspace = max(1, math.ceil(math.sqrt(n_features)))
-        self.subspace = check_count("subspace", subspace)
-        if self.subspace < 1:
-            raise ValueError(f"subspace must be at least 1, got {subspace!r}")
+        self.subspace = check_setting("subspace", subspace, int, 1)
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self.root = self._new_leaf(depth=0)
         self.n_seen = 0.0
@@ -298,14 +297,16 @@ class AdaptiveForest:
                  warn_delta: float = 0.01, drift_delta: float = 0.002,
                  disable_drift: bool = False,
                  **tree_kw):
-        n_trees = check_count("n_trees", n_trees)
-        if n_trees < 1:
-            raise ValueError("need at least one tree")
+        n_trees = check_setting("n_trees", n_trees, int, 1, N_TREES_CAP)
         self.n_features = n_features
         self.n_trees = n_trees
-        self.warn_delta = check_float("warn_delta", warn_delta)
-        self.drift_delta = check_float("drift_delta", drift_delta)
-        self.disable_drift = disable_drift
+        self.warn_delta = check_setting("warn_delta", warn_delta, float, 0.0,
+                                        1.0, low_open=True, high_open=True)
+        self.drift_delta = check_setting("drift_delta", drift_delta, float,
+                                         0.0, 1.0, low_open=True,
+                                         high_open=True)
+        self.disable_drift = check_setting("disable_drift", disable_drift,
+                                           bool)
 
         ss = np.random.SeedSequence(seed)
         bag_ss, spawn_ss, *tree_ss = ss.spawn(n_trees + 2)
@@ -317,8 +318,8 @@ class AdaptiveForest:
         self.trees = [self._new_tree(s) for s in tree_ss]
         self._tree_kw = {name: getattr(self.trees[0], name)
                          for name in tree_kw}
-        self._warn = [AdwinWindow(warn_delta) for _ in range(n_trees)]
-        self._drift = [AdwinWindow(drift_delta) for _ in range(n_trees)]
+        self._warn = [AdwinWindow(self.warn_delta) for _ in range(n_trees)]
+        self._drift = [AdwinWindow(self.drift_delta) for _ in range(n_trees)]
         self.background: list[HoeffdingTree | None] = [None] * n_trees
         self.n_seen = 0
         self.n_replacements = 0

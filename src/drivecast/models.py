@@ -38,8 +38,8 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import DivergenceError, InsufficientHistoryError
-from .features import (RunningStats, check_count, check_features,
-                       check_float, check_target)
+from .features import (RunningStats, check_features, check_setting,
+                       check_target)
 from .forest import AdaptiveForest
 from .streaming import describe
 
@@ -52,10 +52,17 @@ Z90 = 1.6449
 # ``qr``'s step after n observations is lr / (1 + LR_DECAY * n).
 LR_DECAY = 0.01
 
+# The largest value of each setting that sizes a model's memory: far
+# above any grid in use, and refused before anything is allocated.
+WINDOW_CAP = 100_000  # qknn rows, 274 years of days
+HIDDEN_CAP = 1_024  # mcnn units per hidden layer
+N_PASSES_CAP = 1_000  # mcnn stochastic passes per prediction
+RESIDUAL_WINDOW_CAP = 10_000  # mcnn squared residuals kept
+
 
 def z_for_confidence(confidence: float) -> float:
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    confidence = check_setting("confidence", confidence, float, 0.0, 1.0,
+                               low_open=True, high_open=True)
     if abs(confidence - 0.90) < 1e-12:
         return Z90
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
@@ -115,11 +122,10 @@ class OnlineModel:
 
     def __init__(self, n_features: int, seed: int = 0,
                  confidence: float = 0.90):
-        if n_features < 0:
-            raise ValueError("n_features must be >= 0")
-        self.n_features = n_features
-        self.seed = int(seed)
-        self.confidence = float(confidence)
+        self.n_features = check_setting("n_features", n_features, int, 0)
+        self.seed = check_setting("seed", seed, int, 0)
+        # z_for_confidence checks its range
+        self.confidence = check_setting("confidence", confidence, float)
         self.z = z_for_confidence(self.confidence)
         self.n_seen = 0
 
@@ -177,10 +183,8 @@ class QuantileRegressor(OnlineModel):
             # step size that keeps the heads stable regardless of how
             # many standardized columns feed them
             lr = 0.1 / math.sqrt(n_features + 1)
-        self.lr = check_float("lr", lr, finite=True)
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        self.l2 = check_float("l2", l2, finite=True)
+        self.lr = check_setting("lr", lr, float, 0.0, low_open=True)
+        self.l2 = check_setting("l2", l2, float, 0.0)
         alpha = (1.0 - self.confidence) / 2.0
         self.taus = (alpha, 0.5, 1.0 - alpha)
         self.thetas = np.zeros((3, n_features + 1))
@@ -246,13 +250,10 @@ class QuantileKnn(OnlineModel):
                  confidence: float = 0.90, k: int = 20, window: int = 365,
                  min_neighbors: int = 5):
         super().__init__(n_features, seed, confidence)
-        self.k = check_count("k", k)
-        self.window = check_count("window", window)
-        self.min_neighbors = check_count("min_neighbors", min_neighbors)
-        if self.k < 1 or self.window < 1:
-            raise ValueError("k and window must be positive")
-        if self.min_neighbors < 1:
-            raise ValueError("min_neighbors must be positive")
+        self.k = check_setting("k", k, int, 1)
+        self.window = check_setting("window", window, int, 1, WINDOW_CAP)
+        self.min_neighbors = check_setting("min_neighbors", min_neighbors,
+                                           int, 1)
         self._xs = np.zeros((self.window, n_features))
         self._ys = np.zeros(self.window)
         self._stamps = np.zeros(self.window, dtype=np.int64)
@@ -310,7 +311,7 @@ class QuantileForest(OnlineModel):
     def __init__(self, n_features: int, seed: int = 0,
                  confidence: float = 0.90, **forest_kw):
         super().__init__(n_features, seed, confidence)
-        self.forest = AdaptiveForest(n_features, seed=seed, **forest_kw)
+        self.forest = AdaptiveForest(n_features, seed=self.seed, **forest_kw)
 
     def predict_interval(self, x) -> PredictionInterval:
         point, sketches = self.forest.predict_sketches(x)
@@ -345,34 +346,27 @@ class McDropoutNet(OnlineModel):
                  dropout: float = 0.1, lr: float = 0.02, n_passes: int = 50,
                  residual_window: int = 10, max_grad_norm: float = 10.0):
         super().__init__(n_features, seed, confidence)
-        hidden = tuple(check_count("hidden", h) for h in hidden)
-        n_passes = check_count("n_passes", n_passes)
-        residual_window = check_count("residual_window", residual_window)
-        dropout = check_float("dropout", dropout)
-        lr = check_float("lr", lr, finite=True)
-        max_grad_norm = check_float("max_grad_norm", max_grad_norm)
-        if not hidden or any(h < 1 for h in hidden):
-            raise ValueError("hidden must name at least one positive width")
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if n_passes < 2:
-            raise ValueError("need at least 2 stochastic passes")
-        if residual_window < 1:
-            raise ValueError("residual_window must be positive")
-        if max_grad_norm <= 0:  # +inf is allowed and turns clipping off
-            raise ValueError("max_grad_norm must be positive")
-        self.hidden = hidden
-        self.dropout = dropout
-        self.lr = lr
-        self.n_passes = n_passes
-        self.residual_window = residual_window
-        self.max_grad_norm = max_grad_norm
+        self.hidden = tuple(check_setting("hidden", h, int, 1, HIDDEN_CAP)
+                            for h in hidden)
+        if not self.hidden:
+            raise ValueError("hidden must name at least one width")
+        self.dropout = check_setting("dropout", dropout, float, 0.0, 1.0,
+                                     high_open=True)
+        self.lr = check_setting("lr", lr, float, 0.0, low_open=True)
+        self.n_passes = check_setting("n_passes", n_passes, int, 2,
+                                      N_PASSES_CAP)
+        self.residual_window = check_setting(
+            "residual_window", residual_window, int, 1, RESIDUAL_WINDOW_CAP)
+        # +inf turns clipping off
+        self.max_grad_norm = check_setting("max_grad_norm", max_grad_norm,
+                                           float, 0.0, low_open=True,
+                                           inf=True)
 
         self._train_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 0x7E57])))
         init = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 0x1417])))
-        sizes = (n_features,) + hidden + (1,)
+        sizes = (n_features,) + self.hidden + (1,)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -403,10 +397,9 @@ class McDropoutNet(OnlineModel):
 
     def _forward_batch(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """All stochastic passes at once; rows are passes."""
-        # every pass reads the same x: a read-only view with a zero row
-        # stride, the array np.broadcast_to makes for a contiguous x, built
-        # for less
-        x = np.ascontiguousarray(x)
+        # every pass reads the same x, which check_features made
+        # contiguous: a read-only view with a zero row stride, the array
+        # np.broadcast_to makes, built for less
         a = np.ndarray((self.n_passes, len(x)), x.dtype, x, 0, (0, x.itemsize))
         a.flags.writeable = False
         for w, b in zip(self.weights[:-1], self.biases[:-1]):

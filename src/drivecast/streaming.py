@@ -33,6 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .exceptions import InsufficientHistoryError
+from .features import check_setting
 
 # Geometric decay of KLL compactor capacities: a level h steps below the
 # top holds about k * _C**h items.
@@ -63,14 +64,10 @@ class KllSketch:
     """
 
     def __init__(self, k: int = 200, seed: int = 0):
-        if not isinstance(k, (int, np.integer)) or k < 8:
-            raise ValueError("k must be an integer >= 8")
+        self.k = check_setting("k", k, int, 8)
         # the seed reaches numpy's generator only at the first compaction,
         # so a bad one is refused here, before any insert counts
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError("seed must be an integer >= 0")
-        self.k = int(k)
-        self.seed = int(seed)
+        self.seed = check_setting("seed", seed, int, 0)
         self.n = 0
         self._levels: list[array] = [array("d")]
         self._size = 0
@@ -289,9 +286,8 @@ class AdwinWindow:
     """
 
     def __init__(self, delta: float = 0.002):
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-        self.delta = float(delta)
+        self.delta = check_setting("delta", delta, float, 0.0, 1.0,
+                                   low_open=True, high_open=True)
         # per bucket, oldest first: the count, sum and sum of squares; a
         # count is always a power of two and counts never grow from oldest
         # to newest, so a bucket's level is read from its count

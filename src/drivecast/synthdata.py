@@ -24,6 +24,7 @@ from datetime import date, datetime, time, timedelta
 import numpy as np
 
 from .data_model import ChargeSession, TripSession, VehicleHistory
+from .features import check_setting
 
 DEFAULT_START = date(2023, 1, 2)  # a Monday
 
@@ -67,10 +68,10 @@ def plant_drift(profile: DriverProfile, day_index: int,
                 duration: float = math.inf,
                 departure_shift: float = 0.0,
                 distance_shift: float = 0.0) -> DriverProfile:
-    if duration <= 0:
-        raise ValueError("drift duration must be positive")
-    events = profile.drift_events + ((day_index, float(duration),
-                                      departure_shift, distance_shift),)
+    duration = check_setting("duration", duration, float, 0.0,
+                             low_open=True, inf=True)
+    events = profile.drift_events + ((day_index, duration, departure_shift,
+                                      distance_shift),)
     return dataclasses.replace(profile, drift_events=events)
 
 

@@ -41,6 +41,8 @@ BOOLEANS_AND_DUPLICATES = [
     ({"evaluate": {"targets": ["distance", "distance"]}},
      "evaluate.targets"),
     ({"tune": {"grids": {"qknn": {"k": [5, 10, 5.0]}}}}, "tune.grids.qknn.k"),
+    ({"tune": {"grids": {"qarf": {"disable_drift": ["yes"]}}}},
+     "tune.grids.qarf.disable_drift"),
 ]
 
 
@@ -116,6 +118,18 @@ class TestConfig:
         ({"synth": {"drift": {"day": True}}}, "synth.drift.day"),
         ({"synth": {"drift": {"day": 1, "fraction": True}}},
          "synth.drift.fraction"),
+        # a drift that plants nothing
+        ({"synth": {"drift": {"day": 1}}}, "synth.drift.fraction"),
+        ({"synth": {"drift": {"day": 1, "fraction": 0.0}}},
+         "synth.drift.fraction"),
+        ({"evaluate": {"targets": ["departure"],
+                       "within_tol": {"departure": 1.0, "distnce": 2}}},
+         "evaluate.within_tol.distnce"),
+        # an int too large for a double where a real belongs
+        ({"tune": {"grids": {"qr": {"lr": [10**400]}}}}, "tune.grids.qr.lr"),
+        ({"synth": {"drift": {"day": 1, "fraction": 1.0,
+                              "duration": 10**400}}},
+         "synth.drift.duration"),
     ])
     def test_rejects_bad_values(self, tmp_path, bad, field):
         path = tmp_path / "c.json"
@@ -181,6 +195,9 @@ class TestConfig:
         c = load_config(None, {"seed": 1})
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
+        # an integral float loads as the int it names
+        d = load_config(None, {"seed": 1.0})
+        assert type(d["seed"]) is int and config_digest(d) == config_digest(c)
 
 
 def write_config(tmp_path, **extra):
@@ -507,12 +524,17 @@ class TestCliErrors:
         # a window below min_neighbors: qknn never answers
         ("tune", {"qknn": {"window": [3]}}, False, None, 2),
         ("evaluate", {}, False, ("qknn", {"window": 3}), 2),
+        # settings that size memory are refused before any allocation
+        ("tune", {"qknn": {"window": [10**11]}}, False, None, 2),
+        ("tune", {"qarf": {"n_trees": [10**9]}}, False, None, 2),
+        ("tune", {"mcnn": {"hidden": [[10**9]]}}, False, None, 2),
     ], ids=["unknown-param", "unknown-category", "all-diverge",
             "tuned-unknown-param", "tuned-diverges", "tuned-not-object",
             "fractional-count", "boolean-count", "forwarded-unknown-param",
             "one-bin", "constant-param", "negative-subspace",
             "fractional-subspace", "negative-grace-period",
-            "fractional-grace-period", "all-abstain", "tuned-all-abstain"])
+            "fractional-grace-period", "all-abstain", "tuned-all-abstain",
+            "huge-window", "huge-n-trees", "huge-hidden-width"])
     def test_bad_input_is_one_line_error(self, pipeline_run, tmp_path, stage,
                                          grids, dawn, tuned, code):
         shutil.copytree(pipeline_run[0] / "out", tmp_path / "out")

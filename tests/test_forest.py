@@ -78,10 +78,11 @@ class TestHoeffdingTree:
     @pytest.mark.parametrize("param, bad", [
         ("grace_period", -5), ("grace_period", 0), ("grace_period", 2.5),
         ("grace_period", True), ("subspace", -1), ("subspace", 0),
-        ("subspace", 2.5), ("subspace", True)])
+        ("subspace", 2.5), ("subspace", True), ("max_depth", -1)])
     def test_counts_checked_at_construction(self, param, bad):
-        """A grace period or subspace that is not a whole number >= 1
-        fails when the tree is built, not at its first split attempt."""
+        """A grace period or subspace that is not a whole number >= 1, or
+        a negative depth limit, fails when the tree is built, not at its
+        first split attempt."""
         with pytest.raises(ValueError, match=param):
             HoeffdingTree(3, **{param: bad})
         with pytest.raises(ValueError, match=param):

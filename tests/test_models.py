@@ -452,6 +452,15 @@ class TestMcDropoutBehavior:
             McDropoutNet(2, n_passes=1)
 
 
+# values each setting refuses besides those its table below tries
+REFUSED = {
+    ("qarf", "max_depth"): (-3,),
+    ("qr", "l2"): (-1.0,),
+    ("mcnn", "lr"): (0, -0.5),
+    ("qarf", "disable_drift"): ("no", 1),
+}
+
+
 class TestFactoryAndCheckpoints:
     def test_factory_kinds(self):
         for kind in MODEL_KINDS:
@@ -468,7 +477,8 @@ class TestFactoryAndCheckpoints:
     def test_count_params_are_whole_numbers(self, kind, param, good):
         """A bool or a fractional count is an error, not a truncation; an
         integral float is the same count."""
-        for bad in (good + 0.5, True, False, float("nan")):
+        for bad in (good + 0.5, True, False, float("nan"),
+                    *REFUSED.get((kind, param), ())):
             with pytest.raises(ValueError, match=param):
                 make_model(kind, 3, **{param: bad})
         model = make_model(kind, 3, **{param: float(good)})
@@ -478,14 +488,18 @@ class TestFactoryAndCheckpoints:
     @pytest.mark.parametrize("kind, param, good", [
         ("qr", "lr", 1), ("qr", "l2", 0), ("mcnn", "lr", 1),
         ("mcnn", "dropout", 0), ("mcnn", "max_grad_norm", 5),
-        ("qarf", "warn_delta", 0.05), ("qarf", "drift_delta", 0.01)])
+        ("qarf", "warn_delta", 0.05), ("qarf", "drift_delta", 0.01),
+        ("qarf", "disable_drift", True)])
     def test_float_params_refuse_booleans(self, kind, param, good):
         """A bool is an error, not 1.0 or 0.0; an int is the same
-        setting as its float."""
-        for bad in (True, False, "0.1", [good]):
+        setting as its float.  A bool setting takes a bool alone, numpy's
+        as the same setting."""
+        wrong = () if type(good) is bool else (True, False)
+        for bad in (*wrong, "0.1", [good], *REFUSED.get((kind, param), ())):
             with pytest.raises(ValueError, match=param):
                 make_model(kind, 3, **{param: bad})
-        model = make_model(kind, 3, **{param: float(good)})
+        model = make_model(kind, 3, **{param: np.bool_(good)
+                                       if type(good) is bool else float(good)})
         same = make_model(kind, 3, **{param: good})
         assert pickle.dumps(model) == pickle.dumps(same)
 
@@ -792,7 +806,7 @@ class TestLightKindOracle:
     def test_mcnn_strided_rows(self):
         """A row that is a strided view, every other value of a wider row
         or a reversed one, gives the ``np.broadcast_to`` reference's bytes
-        on that same view, and is left as it was."""
+        on the row's contiguous copy, and is left as it was."""
         stream = []
         for t, (x, y) in enumerate(oracle_stream(26, 600, 5)):
             if t % 2:
@@ -805,7 +819,9 @@ class TestLightKindOracle:
             stream.append((x, y))
         rows = [x.tobytes() for x, _ in stream]
         model = McDropoutNet(5, seed=3, hidden=(8, 4))
-        self.run(model, stream, reference_mcnn_predict, reference_mcnn_learn)
+        self.run(model, stream,
+                 lambda m, x: reference_mcnn_predict(m, x.copy()),
+                 lambda m, x, y: reference_mcnn_learn(m, x.copy(), y))
         assert [x.tobytes() for x, _ in stream] == rows
 
 
