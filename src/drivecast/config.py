@@ -17,6 +17,7 @@ from .evaluation import DEFAULT_WARMUP, DEFAULT_WITHIN_TOL, TARGETS
 from .exceptions import ConfigError
 from .features import check_setting
 from .models import MODEL_KINDS, make_model
+from .synthdata import check_drift
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -55,8 +56,7 @@ def _merge(base: dict, override: dict, path: str) -> dict:
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(here, "unknown option")
-        if isinstance(base[key], dict) and key not in ("drift", "grids",
-                                                       "within_tol"):
+        if isinstance(base[key], dict) and key not in ("drift", "grids"):
             if not isinstance(value, dict):
                 raise ConfigError(here, "expected an object")
             out[key] = _merge(base[key], value, here)
@@ -133,19 +133,12 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("synth", "fleet must contain at least one vehicle")
     _need(cfg, "synth.n_days", int, low=2)
     if cfg["synth"]["drift"] is not None:
-        drift = _need(cfg, "synth.drift", dict)
-        extra = set(drift) - {"day", "duration", "departure_shift",
-                              "distance_shift", "fraction"}
-        if extra:
-            raise ConfigError("synth.drift", f"unknown keys {sorted(extra)}")
-        _need(cfg, "synth.drift.day", int, 0)
-        # a drift planted on no vehicle would pass unreported
-        _need(cfg, "synth.drift.fraction", float, 0.0, 1.0, low_open=True)
-        if drift.get("duration") is not None:  # null: a permanent shift
-            _need(cfg, "synth.drift.duration", float, 0.0, low_open=True)
-        for k in ("departure_shift", "distance_shift"):
-            if k in drift:
-                _need(cfg, f"synth.drift.{k}", float)
+        try:
+            cfg["synth"]["drift"] = check_drift(cfg["synth"]["drift"],
+                                                "synth.drift")
+        except ValueError as e:
+            field, _, message = str(e).partition(" ")
+            raise ConfigError(field, message) from None
 
     _need(cfg, "select.n_select", int, low=1)
     _need(cfg, "select.run_backward", bool)

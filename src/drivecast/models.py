@@ -5,7 +5,9 @@ Five model families share one two-call contract.  Each morning
 upper, sigma)``: a point estimate with a central interval at the
 configured confidence, made before the truth is known.  Once the day is
 over, ``learn_one(x, y)`` folds the truth in.  All state updates are
-constant-time and constant-memory per observation.
+constant-time and constant-memory per observation.  Every interval is
+a ``PredictionInterval.gaussian`` (``mean`` and ``mcnn``, the only kinds
+with a ``sigma``) or a ``PredictionInterval.around`` (the other three).
 
 * ``mean``: running mean and std of the target, features ignored.  The
   floor every other model must beat.
@@ -16,8 +18,7 @@ constant-time and constant-memory per observation.
   read from the empirical quantiles of the neighbor targets.
 * ``qarf``: drift-adaptive forest of incremental trees; the interval is
   read from the pooled items of the quantile sketches of every tree's
-  routed leaf, and ``sigma`` is None, as for ``qr``: no Gaussian is
-  fitted to an interval made of order statistics.
+  routed leaf.
 * ``mcnn``: small feed-forward net whose predictive spread combines
   dropout-sampling variance (model uncertainty) with a running residual
   variance (noise), assuming a Gaussian predictive distribution.
@@ -89,6 +90,13 @@ class PredictionInterval:
         predictive distribution."""
         return cls(point, point - z * sigma, point + z * sigma, sigma)
 
+    @classmethod
+    def around(cls, point: float, lower: float,
+               upper: float) -> "PredictionInterval":
+        """Two quantile estimates widened to hold ``point``.  On a tie,
+        ``min`` and ``max`` return the bound, which keeps a zero's sign."""
+        return cls(point, min(lower, point), max(upper, point), None)
+
 
 class _TargetScaler(RunningStats):
     """Running standardization of the target.  ``transform`` always uses
@@ -106,9 +114,6 @@ class _TargetScaler(RunningStats):
 
     def inverse(self, z: float) -> float:
         return z * self.scale + self.mean
-
-    def inverse_spread(self, s: float) -> float:
-        return s * self.scale
 
 
 class OnlineModel:
@@ -128,6 +133,11 @@ class OnlineModel:
         self.confidence = check_setting("confidence", confidence, float)
         self.z = z_for_confidence(self.confidence)
         self.n_seen = 0
+
+    @property
+    def alpha(self) -> float:
+        """The mass in each tail of the central interval."""
+        return (1.0 - self.confidence) / 2.0
 
     def predict_interval(self, x) -> PredictionInterval:
         raise NotImplementedError
@@ -185,8 +195,7 @@ class QuantileRegressor(OnlineModel):
             lr = 0.1 / math.sqrt(n_features + 1)
         self.lr = check_setting("lr", lr, float, 0.0, low_open=True)
         self.l2 = check_setting("l2", l2, float, 0.0)
-        alpha = (1.0 - self.confidence) / 2.0
-        self.taus = (alpha, 0.5, 1.0 - alpha)
+        self.taus = (self.alpha, 0.5, 1.0 - self.alpha)
         self.thetas = np.zeros((3, n_features + 1))
         # targets arrive standardized, so the normal quantile is the
         # right starting intercept for each head; without it the tail
@@ -207,11 +216,9 @@ class QuantileRegressor(OnlineModel):
         x = check_features(x, self.n_features)
         if self.n_seen < 2:
             raise InsufficientHistoryError("heads are still at their origin")
-        lo_z, mid_z, hi_z = (self.thetas @ self._augment(x)).tolist()
-        point = self._scaler.inverse(mid_z)
-        lower = min(self._scaler.inverse(lo_z), point)
-        upper = max(self._scaler.inverse(hi_z), point)
-        return PredictionInterval(point, lower, upper, None)
+        lower, point, upper = map(self._scaler.inverse, (
+            self.thetas @ self._augment(x)).tolist())
+        return PredictionInterval.around(point, lower, upper)
 
     def learn_one(self, x, y: float) -> None:
         y = check_target(y)
@@ -237,8 +244,7 @@ class QuantileKnn(OnlineModel):
 
     Keeps the last ``window`` observations.  The point prediction is the
     mean of the k nearest targets; the interval bounds are empirical
-    quantiles of those targets, and ``sigma`` is their sample standard
-    deviation (``None`` from a single neighbor, which has no spread).
+    quantiles of those targets.
     Distance ties break toward the earlier insertion, so predictions are
     exactly reproducible.  Learning writes one row and reads none: the
     window is scanned once per query, in ``predict_interval``.
@@ -271,22 +277,16 @@ class QuantileKnn(OnlineModel):
         order = np.lexsort((self._stamps[:n], dists))
         kk = min(self.k, n)
         neigh = np.sort(self._ys[:n][order[:kk]])
-        # np.add.reduce is the pairwise sum mean() and std() take, so the
-        # point and sigma are theirs to the bit
+        # np.add.reduce is the pairwise sum mean() takes, to the bit
         point = float(np.add.reduce(neigh)) / kk
-        alpha = (1.0 - self.confidence) / 2.0
         # plotting-position ranks: the span between the chosen order
         # statistics covers about (hi-lo)/(kk+1) of the neighborhood
         # distribution, landing the nominal confidence in expectation
+        alpha = self.alpha
         lo_rank = min(max(math.floor(alpha * (kk + 1)), 1), kk) - 1
         hi_rank = min(max(math.ceil((1.0 - alpha) * (kk + 1)), 1), kk) - 1
-        lower = min(float(neigh[lo_rank]), point)
-        upper = max(float(neigh[hi_rank]), point)
-        sigma = None
-        if kk >= 2:
-            d = neigh - point
-            sigma = math.sqrt(float(np.add.reduce(d * d)) / (kk - 1))
-        return PredictionInterval(point, lower, upper, sigma)
+        return PredictionInterval.around(point, float(neigh[lo_rank]),
+                                         float(neigh[hi_rank]))
 
     def learn_one(self, x, y: float) -> None:
         y = check_target(y)
@@ -315,9 +315,8 @@ class QuantileForest(OnlineModel):
 
     def predict_interval(self, x) -> PredictionInterval:
         point, sketches = self.forest.predict_sketches(x)
-        alpha = (1.0 - self.confidence) / 2.0
-        lo, hi = describe(sketches, (alpha, 1.0 - alpha))
-        return PredictionInterval(point, min(lo, point), max(hi, point))
+        return PredictionInterval.around(
+            point, *describe(sketches, (self.alpha, 1.0 - self.alpha)))
 
     def learn_one(self, x, y: float) -> None:
         self.forest.learn_one(x, y)
@@ -410,9 +409,6 @@ class McDropoutNet(OnlineModel):
             a /= 1.0 - self.dropout
         return (a @ self.weights[-1].T + self.biases[-1]).ravel()
 
-    def _sample_masks(self, rng: np.random.Generator) -> list[np.ndarray]:
-        return [rng.random(h) >= self.dropout for h in self.hidden]
-
     def predict_interval(self, x) -> PredictionInterval:
         x = check_features(x, self.n_features)
         if self.n_seen == 0:
@@ -428,7 +424,7 @@ class McDropoutNet(OnlineModel):
         var_model = float(np.add.reduce(d * d)) / self.n_passes
         var_noise = (sum(self._sq_residuals) / len(self._sq_residuals)
                      if self._sq_residuals else 0.0)
-        sigma = self._scaler.inverse_spread(math.sqrt(var_model + var_noise))
+        sigma = math.sqrt(var_model + var_noise) * self._scaler.scale
         return PredictionInterval.gaussian(point, sigma, self.z)
 
     def learn_one(self, x, y: float) -> None:
@@ -447,7 +443,8 @@ class McDropoutNet(OnlineModel):
         if len(self._sq_residuals) > self.residual_window:
             self._sq_residuals.pop(0)
 
-        masks = self._sample_masks(self._train_rng)
+        masks = [self._train_rng.random(h) >= self.dropout
+                 for h in self.hidden]
         with np.errstate(over="ignore", invalid="ignore"):
             # the first layer's product is the one the pass above made
             out, acts = self._forward(x, masks, first=acts_pre[1])

@@ -75,6 +75,35 @@ def plant_drift(profile: DriverProfile, day_index: int,
     return dataclasses.replace(profile, drift_events=events)
 
 
+def check_drift(drift, name: str = "drift") -> dict:
+    """A copy of ``drift`` with each setting as ``check_setting`` returns
+    it, or ``ValueError`` whose message starts with the key at fault
+    (``drift.day``, under ``name`` in place of ``drift``).  ``day`` (an
+    int >= 0) and ``fraction`` (in (0, 1]) are required; ``duration`` is
+    positive, or None or absent for a permanent shift; the two shifts are
+    real numbers, 0 when absent; no other key is allowed."""
+    drift = dict(check_setting(name, drift, dict))
+    extra = set(drift) - {"day", "fraction", "duration", "departure_shift",
+                          "distance_shift"}
+    if extra:
+        raise ValueError(f"{name} has unknown keys {sorted(extra)}")
+    for key in ("day", "fraction"):
+        if key not in drift:
+            raise ValueError(f"{name}.{key} is required")
+    drift["day"] = check_setting(f"{name}.day", drift["day"], int, 0)
+    # a drift planted on no vehicle would pass unreported
+    drift["fraction"] = check_setting(f"{name}.fraction", drift["fraction"],
+                                      float, 0.0, 1.0, low_open=True)
+    if drift.get("duration") is not None:
+        drift["duration"] = check_setting(f"{name}.duration",
+                                          drift["duration"], float, 0.0,
+                                          low_open=True)
+    for key in ("departure_shift", "distance_shift"):
+        if key in drift:
+            drift[key] = check_setting(f"{name}.{key}", drift[key], float)
+    return drift
+
+
 def _lognormal(rng: np.random.Generator, mean: float, std: float) -> float:
     """Sample with the requested arithmetic mean and std."""
     mean = max(mean, 0.5)
@@ -328,12 +357,16 @@ def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
     """Build a fleet of session histories plus the ground truth behind it,
     every history starting on ``DEFAULT_START``.
 
-    ``drift``, when given, plants a behavior shift on a fraction of the
-    regular vehicles: ``{"day": 180, "departure_shift": 2.0,
-    "distance_shift": 15.0, "fraction": 0.5}``.  An optional
-    ``"duration"`` (days) makes the shift temporary; omitted means
-    permanent.
+    ``drift``, when given, plants a behavior shift on
+    ``ceil(fraction * n_regular)`` regular vehicles, the first in fleet
+    order: ``{"day": 180, "departure_shift": 2.0, "distance_shift": 15.0,
+    "fraction": 0.5}``.  An optional ``"duration"`` (days) makes the
+    shift temporary; omitted or None means permanent.  ``check_drift``
+    states the rules, and a drift that breaks one raises ``ValueError``
+    before anything is generated.
     """
+    if drift is not None:
+        drift = check_drift(drift)
     n_total = n_regular + n_irregular
     root = np.random.SeedSequence(seed)
     assign_rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
@@ -341,9 +374,8 @@ def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
     order = assign_rng.permutation(n_total)
     archetypes = [archetypes[i] for i in order]
 
-    drifted_budget = 0
-    if drift:
-        drifted_budget = math.ceil(drift.get("fraction", 0.0) * n_regular)
+    drifted_budget = 0 if drift is None else math.ceil(
+        drift["fraction"] * n_regular)
 
     histories: dict[str, VehicleHistory] = {}
     truth_vehicles: dict[str, dict] = {}
@@ -355,13 +387,13 @@ def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
         rng = np.random.Generator(np.random.PCG64(child_seeds[i]))
         if archetypes[i] == "regular":
             profile = regular_profile(rng)
-            if drift and drifted < drifted_budget:
+            if drifted < drifted_budget:
                 duration = drift.get("duration")
                 profile = plant_drift(
-                    profile, int(drift["day"]),
-                    math.inf if duration is None else float(duration),
-                    float(drift.get("departure_shift", 0.0)),
-                    float(drift.get("distance_shift", 0.0)))
+                    profile, drift["day"],
+                    math.inf if duration is None else duration,
+                    drift.get("departure_shift", 0.0),
+                    drift.get("distance_shift", 0.0))
                 drifted += 1
         else:
             profile = irregular_profile(rng)

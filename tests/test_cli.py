@@ -63,6 +63,39 @@ class TestConfig:
         assert cfg["synth"]["n_regular"] == \
             DEFAULT_CONFIG["synth"]["n_regular"]
 
+    def test_one_tolerance_merges_alone(self):
+        """``within_tol`` merges key by key like any other object."""
+        cfg = load_config(None,
+                          {"evaluate": {"within_tol": {"departure": 2.0}}})
+        assert cfg["evaluate"]["within_tol"] == {"departure": 2.0,
+                                                 "distance": 5.0}
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {"evaluate": {"within_tol": {"distnce": 2}}})
+        assert err.value.field == "evaluate.within_tol.distnce"
+
+    @pytest.mark.parametrize("drift, field", [
+        ({"day": 5, "departure_shift": 3.0}, "synth.drift.fraction"),
+        ({"fraction": 1.0}, "synth.drift.day"),
+        ({"day": 5, "fraction": 1.0, "duration": -2},
+         "synth.drift.duration"),
+        ({"day": 5, "fraction": 1.0, "distance_shift": "far"},
+         "synth.drift.distance_shift"),
+        ({"day": 5, "fraction": 1.0, "shift": 2.0}, "synth.drift"),
+        ("soon", "synth.drift"),
+    ])
+    def test_drift_errors_name_the_key(self, drift, field):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {"synth": {"drift": drift}})
+        assert err.value.field == field
+
+    def test_drift_loads_as_checked(self):
+        cfg = load_config(None, {"synth": {"drift": {"day": 9.0,
+                                                     "fraction": 1}}})
+        assert cfg["synth"]["drift"] == {"day": 9, "fraction": 1.0}
+        assert type(cfg["synth"]["drift"]["day"]) is int
+        assert config_digest(cfg) == config_digest(load_config(
+            None, {"synth": {"drift": {"day": 9, "fraction": 1.0}}}))
+
     def test_explicit_overrides_win(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"seed": 9}))

@@ -305,17 +305,18 @@ class TestEvaluateFleet:
 # TestGoldenRecords.  One digest per kind shows which kind a change
 # moves.  ``qarf``'s moved when its intervals came to be read from the
 # pooled leaf-sketch items instead of a union sketch, and again when its
-# ``sigma`` became None.
+# ``sigma`` became None; ``qknn``'s when it stopped fitting a ``sigma``
+# to its neighbours.
 GOLDEN_RECORDS_DIGESTS = {
     "mean": "466331763c70b08295e163f132ba2634de020947ab9a1ae86a8636fb2960bd31",
     "qr": "40dfc5c93efc04fd1856b2bc59fda8438a4009efaec00c2f97c503bb77bbd980",
-    "qknn": "a38fada439ae7deb62382c79b5dee13f904b398aba7228e1a5ce9270d8347659",
+    "qknn": "8688d92f6216a121b23750aeec8d8fb5178368f60d3be1a97062d796876bf776",
     "qarf": "700635a87106624932e060f0a413c04a6e3774238d3bf817e2f386a54b37a3f3",
     "mcnn": "f4e946d5cf469897bff203443c71ef94bd272fb47b447ac8730ed2b071a0521e",
 }
 # the same records without ``sigma``: (point, lower, upper, abstained).
-# Recorded while ``qarf`` still fitted a Gaussian ``sigma`` and sorted its
-# pooled items stably; no faster interval query may move them
+# Recorded while ``qarf`` and ``qknn`` still fitted a ``sigma`` and ``qarf``
+# sorted its pooled items stably; no faster interval query may move them
 GOLDEN_INTERVAL_DIGESTS = {
     "mean": "da6ccf45a8730841b89dff849fe1786466bd2cb25f6d375077380a264af119d2",
     "qr": "f89d39a721f598b121da195d40992a58bbaaac8aa315bd048da6783e9ef1d7ac",

@@ -56,6 +56,51 @@ class TestPredictionInterval:
         assert pi.contains(0.0) and pi.contains(2.0) and not pi.contains(2.01)
         assert pi.width == 2.0
 
+    def test_around_widens_to_the_point(self):
+        pi = PredictionInterval.around(1.0, 2.0, 0.5)
+        assert (pi.point, pi.lower, pi.upper, pi.sigma) == \
+            (1.0, 1.0, 1.0, None)
+        # a bound equal to the point is returned as given, zero sign and all
+        pi = PredictionInterval.around(0.0, -0.0, 0.0)
+        assert math.copysign(1.0, pi.lower) == -1.0
+        pi = PredictionInterval.around(-0.0, 0.0, 0.0)
+        assert math.copysign(1.0, pi.lower) == 1.0
+        assert math.copysign(1.0, pi.upper) == 1.0
+
+
+def crossed_qr(n_features):
+    """A ``qr`` whose lower head learns the upper quantile and its upper
+    head the lower one, so its heads cross on almost every day."""
+    model = QuantileRegressor(n_features)
+    model.taus = model.taus[::-1]
+    model.thetas[[0, 2], -1] = model.thetas[[2, 0], -1]
+    return model
+
+
+class TestIntervalRule:
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("qr-crossed",))
+    def test_bounds_hold_the_point_and_sigma_only_if_gaussian(self, kind):
+        """Every interval any kind gives holds its point, crossing ``qr``
+        heads included, and only ``mean`` and ``mcnn`` give a ``sigma``."""
+        model = (crossed_qr(3) if kind == "qr-crossed"
+                 else make_model(kind, 3, seed=1))
+        rng = np.random.default_rng(31)
+        answered = collapsed = 0
+        for t in range(120):
+            x = rng.normal(size=3)
+            try:
+                pi = model.predict_interval(x)
+            except InsufficientHistoryError:
+                pi = None
+            if pi is not None:
+                assert pi.lower <= pi.point <= pi.upper, t
+                assert (pi.sigma is None) == (kind not in ("mean", "mcnn")), t
+                answered += 1
+                collapsed += pi.lower == pi.upper
+            model.learn_one(x, float(x @ (1.0, -2.0, 0.5) + rng.normal()))
+        assert answered >= 100
+        assert (collapsed > answered // 2) == (kind == "qr-crossed")
+
 
 class TestMeanBaseline:
     def test_tracks_running_stats(self):
@@ -213,9 +258,8 @@ class TestQuantileKnn:
         model.learn_one(np.array([1.0]), 100.0)
         model.learn_one(np.array([1.0]), 200.0)
         pi = model.predict_interval(np.array([1.0]))
-        assert pi.point == 100.0
-        # a single neighbor has no spread
-        assert pi.sigma is None
+        assert (pi.point, pi.lower, pi.upper, pi.sigma) == \
+            (100.0, 100.0, 100.0, None)
 
     def test_needs_min_neighbors(self):
         model = QuantileKnn(2, min_neighbors=5)
@@ -224,15 +268,20 @@ class TestQuantileKnn:
         with pytest.raises(InsufficientHistoryError):
             model.predict_interval(np.zeros(2))
 
-    def test_sigma_from_neighbors(self):
+    def test_interval_from_the_ten_oldest_equidistant_rows(self):
         model = QuantileKnn(1, k=10, window=20, min_neighbors=5)
         rng = np.random.default_rng(5)
         ys = rng.normal(0, 3, 20)
         for y in ys:
             model.learn_one(np.zeros(1), float(y))
         pi = model.predict_interval(np.zeros(1))
-        # all stored points are equidistant; ties resolve to the 10 oldest
-        assert pi.sigma == pytest.approx(np.std(ys[:10], ddof=1))
+        # all stored points are equidistant; ties resolve to the 10 oldest,
+        # whose ranks floor(0.05 * 11) and ceil(0.95 * 11) clamp to the
+        # smallest and the largest
+        oldest, newest = np.sort(ys[:10]), np.sort(ys[10:])
+        assert (pi.point, pi.lower, pi.upper, pi.sigma) == \
+            (float(oldest.mean()), oldest[0], oldest[-1], None)
+        assert (oldest[0], oldest[-1]) != (newest[0], newest[-1])
 
     def test_one_window_scan_per_step_in_predict_only(self, monkeypatch):
         """Learning reads no stored row; each query scans the stored rows
@@ -601,10 +650,10 @@ class TestIntervalCalibrationQuick:
 # -- the light kinds' plainer numpy writing, kept as oracles ---------------
 #
 # Each reference step below is the model's own step as first written:
-# np.append for the intercept, one update per quantile head, mean() and
-# std(ddof=1) over the neighbours, np.mean for the sample variance, one
-# forward pass per call and np.clip/np.square/np.outer in the net's update.
-# The shipped steps must give the same bytes.
+# np.append for the intercept, one update per quantile head, mean() over
+# the neighbours, np.mean for the sample variance, one forward pass per
+# call and np.clip/np.square/np.outer in the net's update.  The shipped
+# steps must give the same bytes.
 
 
 def reference_qr_predict(m, x):
@@ -640,8 +689,7 @@ def reference_qknn_predict(m, x):
     hi_rank = min(max(math.ceil((1.0 - alpha) * (kk + 1)), 1), kk) - 1
     lower = min(float(neigh[lo_rank]), point)
     upper = max(float(neigh[hi_rank]), point)
-    sigma = float(neigh.std(ddof=1)) if kk >= 2 else None
-    return PredictionInterval(point, lower, upper, sigma)
+    return PredictionInterval(point, lower, upper, None)
 
 
 def reference_mcnn_forward(m, x, masks):
@@ -669,7 +717,7 @@ def reference_mcnn_predict(m, x):
     var_model = float(np.mean((samples - samples.mean()) ** 2))
     var_noise = (sum(m._sq_residuals) / len(m._sq_residuals)
                  if m._sq_residuals else 0.0)
-    sigma = m._scaler.inverse_spread(math.sqrt(var_model + var_noise))
+    sigma = math.sqrt(var_model + var_noise) * m._scaler.scale
     return PredictionInterval.gaussian(point, sigma, m.z)
 
 
@@ -757,25 +805,25 @@ class TestLightKindOracle:
         self.run(model, oracle_stream(21, 2000, d), reference_qr_predict,
                  reference_qr_learn)
 
-    @pytest.mark.parametrize("hyper, sigma_none", [
-        ({"k": 1, "min_neighbors": 1}, True),  # one neighbour, no sigma
+    @pytest.mark.parametrize("hyper, one_neighbour", [
+        ({"k": 1, "min_neighbors": 1}, True),  # every interval is a point
         ({"k": 40, "window": 15, "min_neighbors": 2}, False),  # k > window
         ({"k": 10, "window": 120}, False),
     ])
-    def test_qknn(self, hyper, sigma_none):
+    def test_qknn(self, hyper, one_neighbour):
         pool = np.random.default_rng(22).normal(size=(7, 4)).round(1)
         model = QuantileKnn(4, **hyper)
-        sigmas = []
+        widths = []
 
         def predict(m, x):
             pi = reference_qknn_predict(m, x)
-            sigmas.append(pi.sigma)
+            widths.append(pi.width)
             return pi
 
         self.run(model, oracle_stream(23, 1500, 4, pool), predict,
                  lambda m, x, y: m.learn_one(x, y), pickle_every=25)
-        assert len(sigmas) > 1000
-        assert all((s is None) == sigma_none for s in sigmas)
+        assert len(widths) > 1000
+        assert all(w == 0.0 for w in widths) == one_neighbour
 
     @pytest.mark.parametrize("hyper", [
         {},

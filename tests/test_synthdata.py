@@ -14,6 +14,7 @@ from drivecast.data_model import (
 from drivecast.synthdata import (
     DEFAULT_START,
     _lognormal,
+    check_drift,
     generate_fleet,
     irregular_profile,
     plant_drift,
@@ -213,6 +214,46 @@ class TestDrift:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             plant_drift(regular_profile(rng), 30, duration=0.0)
+
+    @pytest.mark.parametrize("drift, key", [
+        # plants nothing, or fails halfway through the fleet
+        ({"day": 5, "departure_shift": 3.0}, "drift.fraction"),
+        ({"fraction": 1.0}, "drift.day"),
+        ({}, "drift.day"),
+        ({"day": 5, "fraction": 0.0}, "drift.fraction"),
+        ({"day": 5, "fraction": 1.5}, "drift.fraction"),
+        ({"day": -1, "fraction": 1.0}, "drift.day"),
+        ({"day": 5.5, "fraction": 1.0}, "drift.day"),
+        ({"day": True, "fraction": 1.0}, "drift.day"),
+        ({"day": 5, "fraction": 1.0, "duration": 0}, "drift.duration"),
+        ({"day": 5, "fraction": 1.0, "duration": math.inf}, "drift.duration"),
+        ({"day": 5, "fraction": 1.0, "distance_shift": "far"},
+         "drift.distance_shift"),
+        ({"day": 5, "fraction": 1.0, "departure_shift": math.nan},
+         "drift.departure_shift"),
+        ({"day": 5, "fraction": 1.0, "shift": 2.0}, "drift"),
+        ([5, 1.0], "drift"),
+    ])
+    def test_bad_drift_is_one_value_error_naming_the_key(self, drift, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            generate_fleet(n_regular=2, n_irregular=0, n_days=10, drift=drift)
+
+    def test_checked_drift_plants_the_same_fleet(self):
+        """Integral floats, ints and an explicit null duration plant what
+        their canonical spelling plants, and the dict given is left as
+        it was."""
+        loose = {"day": 20.0, "fraction": 1, "duration": None,
+                 "departure_shift": 2}
+        assert check_drift(loose) == {"day": 20, "fraction": 1.0,
+                                      "duration": None,
+                                      "departure_shift": 2.0}
+        assert type(loose["day"]) is float
+        kw = {"n_regular": 2, "n_irregular": 1, "n_days": 40, "seed": 4}
+        _, a = generate_fleet(**kw, drift=loose)
+        _, b = generate_fleet(**kw, drift={"day": 20, "fraction": 1.0,
+                                           "departure_shift": 2.0})
+        assert a == b
+        assert sum(v["drifted"] for v in a["vehicles"].values()) == 2
 
 
 class TestLognormal:
