@@ -134,8 +134,9 @@ def validate_config(cfg: dict) -> dict:
     _need(cfg, "synth.n_days", int, low=2)
     if cfg["synth"]["drift"] is not None:
         try:
-            cfg["synth"]["drift"] = check_drift(cfg["synth"]["drift"],
-                                                "synth.drift")
+            cfg["synth"]["drift"] = check_drift(
+                cfg["synth"]["drift"], cfg["synth"]["n_regular"],
+                cfg["synth"]["n_days"], "synth.drift")
         except ValueError as e:
             field, _, message = str(e).partition(" ")
             raise ConfigError(field, message) from None

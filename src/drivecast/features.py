@@ -21,10 +21,10 @@ unscaled.  The standardizer holds one ``RunningStats`` per scaled column,
 the module's one Welford accumulator, and works on a row as a list of
 Python floats: with a few dozen columns per call, numpy's per-call cost
 would be most of the work.  Per scaled value it makes one
-``RunningStats.zscore_update`` call, which returns the z against the
-earlier rows and folds the value in.  The schema compiles its
-descriptors into one list per kind, so ``encode_row`` runs one loop per
-kind with no dispatch on the kind of each descriptor.
+``RunningStats.update`` call, which folds the value in and returns its
+z against the earlier rows.  The schema compiles its descriptors into
+one list per kind, so ``encode_row`` runs one loop per kind with no
+dispatch on the kind of each descriptor.
 
 The rules every learner applies to its inputs and settings live here
 once: ``check_features``, ``check_target`` and ``check_setting``, which
@@ -187,14 +187,13 @@ class FeatureSchema:
         the first kind's error."""
         x = [0.0] * self.dim
         get = raw.get
+        # ``v != v`` holds for a NaN of any float type, numpy's included
         for source, at in self._numeric:
             v = get(source)
-            x[at] = (math.nan if v is None
-                     or (isinstance(v, float) and math.isnan(v))
-                     else float(v))
+            x[at] = math.nan if v is None or v != v else float(v)
         for source, at, offset, period in self._cyclic:
             v = get(source)
-            if v is None or (isinstance(v, float) and math.isnan(v)):
+            if v is None or v != v:
                 x[at] = x[at + 1] = math.nan
                 continue
             phase = _TWO_PI * (float(v) - offset) / period
@@ -250,7 +249,7 @@ def check_features(x, n_features: int) -> np.ndarray:
     if x.shape != (n_features,):
         raise ValueError(
             f"expected {n_features} features, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError("features must be finite")
     return x
 
@@ -315,33 +314,29 @@ class RunningStats:
         self.mean = 0.0
         self.m2 = 0.0
 
-    def update(self, v: float) -> float:
-        """Fold ``v`` in; returns ``v`` minus the mean before it, the
-        numerator of its z-score."""
-        self.count += 1
+    def update(self, v: float) -> float | None:
+        """Fold ``v`` in; returns its z-score against the values folded
+        in before it, or None while they are fewer than two or their
+        ``std`` is at most 1e-9."""
+        n, m2 = self.count, self.m2
+        self.count = n + 1
         delta = v - self.mean
         self.mean += delta / self.count
-        self.m2 += delta * (v - self.mean)
-        return delta
+        self.m2 = m2 + delta * (v - self.mean)
+        # ``std`` before the update, which is above 1e-9 only where the
+        # earlier m2 is above 0: ``m2 / (n - 1)`` has m2's sign, and a NaN
+        # m2 fails both tests
+        if n > 1 and m2 > 0.0:
+            std = math.sqrt(m2 / (n - 1))
+            if std > 1e-9:
+                return delta / std
+        return None
 
     @property
     def std(self) -> float:
         if self.count < 2:
             return 0.0
         return math.sqrt(max(self.m2 / (self.count - 1), 0.0))
-
-    def zscore_update(self, v: float) -> float | None:
-        """``v``'s z-score against the values folded in so far, or None
-        while they are fewer than two or their ``std`` is at most 1e-9;
-        then fold ``v`` in.  One call does what ``std``, the z and
-        ``update`` do in turn, to the bit."""
-        n, m2 = self.count, self.m2
-        delta = self.update(v)
-        if n > 1:
-            std = math.sqrt(max(m2 / (n - 1), 0.0))
-            if std > 1e-9:
-                return delta / std
-        return None
 
 
 class OnlineStandardizer:
@@ -396,7 +391,7 @@ class OnlineStandardizer:
         for j, stats in zip(self._scaled, self._stats):
             v = x[j]
             if v - v == 0.0:
-                zj = stats.zscore_update(v)
+                zj = stats.update(v)
                 if zj is not None:
                     # clipped as np.clip does it: a NaN stays NaN
                     z[j] = 8.0 if zj > 8.0 else -8.0 if zj < -8.0 else zj

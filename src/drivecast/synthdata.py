@@ -75,13 +75,15 @@ def plant_drift(profile: DriverProfile, day_index: int,
     return dataclasses.replace(profile, drift_events=events)
 
 
-def check_drift(drift, name: str = "drift") -> dict:
+def check_drift(drift, n_regular: int, n_days: int,
+                name: str = "drift") -> dict:
     """A copy of ``drift`` with each setting as ``check_setting`` returns
     it, or ``ValueError`` whose message starts with the key at fault
     (``drift.day``, under ``name`` in place of ``drift``).  ``day`` (an
-    int >= 0) and ``fraction`` (in (0, 1]) are required; ``duration`` is
-    positive, or None or absent for a permanent shift; the two shifts are
-    real numbers, 0 when absent; no other key is allowed."""
+    int from 0 to below ``n_days``) and ``fraction`` (in (0, 1]) are
+    required; ``duration`` is positive, or None or absent for a permanent
+    shift; the two shifts are real numbers, 0 when absent; no other key
+    is allowed.  A fleet of ``n_regular`` 0 has no vehicle to drift."""
     drift = dict(check_setting(name, drift, dict))
     extra = set(drift) - {"day", "fraction", "duration", "departure_shift",
                           "distance_shift"}
@@ -90,8 +92,10 @@ def check_drift(drift, name: str = "drift") -> dict:
     for key in ("day", "fraction"):
         if key not in drift:
             raise ValueError(f"{name}.{key} is required")
-    drift["day"] = check_setting(f"{name}.day", drift["day"], int, 0)
-    # a drift planted on no vehicle would pass unreported
+    # a drift planted on no vehicle, or on a day that never comes, would
+    # pass unreported
+    drift["day"] = check_setting(f"{name}.day", drift["day"], int, 0,
+                                 n_days, high_open=True)
     drift["fraction"] = check_setting(f"{name}.fraction", drift["fraction"],
                                       float, 0.0, 1.0, low_open=True)
     if drift.get("duration") is not None:
@@ -101,6 +105,9 @@ def check_drift(drift, name: str = "drift") -> dict:
     for key in ("departure_shift", "distance_shift"):
         if key in drift:
             drift[key] = check_setting(f"{name}.{key}", drift[key], float)
+    if n_regular == 0:
+        raise ValueError(f"{name} needs a regular vehicle to plant on, "
+                         "and the fleet has none")
     return drift
 
 
@@ -366,7 +373,7 @@ def generate_fleet(n_regular: int = 100, n_irregular: int = 25,
     before anything is generated.
     """
     if drift is not None:
-        drift = check_drift(drift)
+        drift = check_drift(drift, n_regular, n_days)
     n_total = n_regular + n_irregular
     root = np.random.SeedSequence(seed)
     assign_rng = np.random.Generator(np.random.PCG64(root.spawn(1)[0]))

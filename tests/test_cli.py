@@ -88,6 +88,23 @@ class TestConfig:
             load_config(None, {"synth": {"drift": drift}})
         assert err.value.field == field
 
+    @pytest.mark.parametrize("synth, field", [
+        ({"n_days": 10, "drift": {"day": 10, "fraction": 1.0}},
+         "synth.drift.day"),
+        ({"n_regular": 0, "n_irregular": 3, "n_days": 10,
+          "drift": {"day": 2, "fraction": 1.0}}, "synth.drift"),
+    ])
+    def test_drift_that_plants_nothing_exits_2(self, synth, field, tmp_path,
+                                               capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"synth": synth}))
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {"synth": synth})
+        assert err.value.field == field
+        assert main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_drift_loads_as_checked(self):
         cfg = load_config(None, {"synth": {"drift": {"day": 9.0,
                                                      "fraction": 1}}})

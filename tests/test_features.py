@@ -17,6 +17,7 @@ from drivecast.features import (
     FeatureSpec,
     OnlineStandardizer,
     RunningStats,
+    check_features,
     default_schema,
     part_of_day,
 )
@@ -88,6 +89,46 @@ class TestEncoding:
             FeatureSpec("x", "cyclic", "x")
         with pytest.raises(ValueError):
             FeatureSpec("x", "onehot", "x")
+
+
+# every missing value a row can meet; the last is a NaN with its sign bit
+MISSING = [None, float("nan"), np.float64("nan"), np.float32("nan"),
+           math.copysign(math.nan, -1.0)]
+
+
+class TestMissingValues:
+    @pytest.mark.parametrize("missing", MISSING, ids=[
+        "None", "float", "float64", "float32", "negative"])
+    def test_encodes_as_nan_and_standardizes_to_zero(self, missing):
+        """In a numeric and in a cyclic column: NaN in every column, 0.0
+        from the standardizer, and each column's statistics untouched."""
+        schema = FeatureSchema([
+            FeatureSpec("a", "numeric", "a"),
+            FeatureSpec("b_cyc", "cyclic", "b", period=24.0)])
+        row = schema.encode_row({"a": missing, "b": missing})
+        assert len(row) == 3 and all(math.isnan(v) for v in row)
+        std = OnlineStandardizer(schema.dim)
+        for a, b in ((1.0, 3.0), (2.0, 7.0), (4.0, 12.0)):
+            std.transform_update(schema.encode_row({"a": a, "b": b}))
+        before = [state_bits(stats) for stats in std._stats]
+        z = std.transform_update(row)
+        assert z.tobytes() == np.zeros(3).tobytes()
+        assert [state_bits(stats) for stats in std._stats] == before
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_check_features_refuses_non_finite(self, bad, at):
+        x = np.arange(5.0)
+        x[at] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            check_features(x, 5)
+        with pytest.raises(ValueError, match="must be finite"):
+            check_features(x.tolist(), 5)
+
+    def test_check_features_accepts_the_empty_vector(self):
+        for x in ([], np.empty(0)):
+            got = check_features(x, 0)
+            assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestDefaultSchema:
@@ -504,10 +545,10 @@ class TestTransformOracle:
 
 
 # -- the std-then-update writing of a scaled column's step, kept as the
-# oracle of ``RunningStats.zscore_update``
+# oracle of ``RunningStats.update``
 
 
-def reference_zscore_update(stats, v):
+def reference_update(stats, v):
     """The z the standardizer read from ``std`` and ``mean`` before the
     update, then the Welford update, each as first written."""
     if stats.count < 2:
@@ -533,8 +574,8 @@ def state_bits(stats):
 
 
 class TestZscoreUpdateOracle:
-    """``RunningStats.zscore_update`` returns the z and leaves the
-    ``count``, ``mean`` and ``m2`` of the writing above, to the bit."""
+    """``RunningStats.update`` returns the z and leaves the ``count``,
+    ``mean`` and ``m2`` of the writing above, to the bit."""
 
     @staticmethod
     def assert_matches(values, stats=None):
@@ -542,9 +583,9 @@ class TestZscoreUpdateOracle:
         ref = pickle.loads(pickle.dumps(stats))
         zs = []
         for t, v in enumerate(values):
-            z = stats.zscore_update(v)
+            z = stats.update(v)
             assert float_bits(z) == float_bits(
-                reference_zscore_update(ref, v)), (t, v)
+                reference_update(ref, v)), (t, v)
             assert type(stats.count) is int
             assert state_bits(stats) == state_bits(ref), (t, v)
             zs.append(z)

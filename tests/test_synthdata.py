@@ -233,10 +233,23 @@ class TestDrift:
          "drift.departure_shift"),
         ({"day": 5, "fraction": 1.0, "shift": 2.0}, "drift"),
         ([5, 1.0], "drift"),
+        # a day the 10-day fleet never reaches
+        ({"day": 10, "fraction": 1.0}, "drift.day"),
+        ({"day": 50, "fraction": 1.0}, "drift.day"),
     ])
     def test_bad_drift_is_one_value_error_naming_the_key(self, drift, key):
         with pytest.raises(ValueError, match=f"^{key} "):
             generate_fleet(n_regular=2, n_irregular=0, n_days=10, drift=drift)
+
+    def test_drift_on_a_fleet_with_no_regular_vehicle_is_refused(self):
+        with pytest.raises(ValueError, match="^drift "):
+            generate_fleet(0, 3, 10, seed=0,
+                           drift={"day": 2, "fraction": 1.0})
+
+    def test_drift_on_the_last_day_plants(self):
+        _, truth = generate_fleet(2, 0, 10, seed=0,
+                                  drift={"day": 9, "fraction": 1.0})
+        assert all(v["drifted"] for v in truth["vehicles"].values())
 
     def test_checked_drift_plants_the_same_fleet(self):
         """Integral floats, ints and an explicit null duration plant what
@@ -244,9 +257,9 @@ class TestDrift:
         it was."""
         loose = {"day": 20.0, "fraction": 1, "duration": None,
                  "departure_shift": 2}
-        assert check_drift(loose) == {"day": 20, "fraction": 1.0,
-                                      "duration": None,
-                                      "departure_shift": 2.0}
+        assert check_drift(loose, 2, 40) == {"day": 20, "fraction": 1.0,
+                                             "duration": None,
+                                             "departure_shift": 2.0}
         assert type(loose["day"]) is float
         kw = {"n_regular": 2, "n_irregular": 1, "n_days": 40, "seed": 4}
         _, a = generate_fleet(**kw, drift=loose)
